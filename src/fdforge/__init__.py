@@ -29,7 +29,6 @@ from .charpoly import (
     analyze,
     analyze_formula,
     objective_function,
-    objective,
 )
 from .search import (
     SearchConfig,
@@ -77,7 +76,6 @@ __all__ = [
     "analyze",
     "analyze_formula",
     "objective_function",
-    "objective",
     "SearchConfig",
     "Candidate",
     "SearchResult",

@@ -8,11 +8,15 @@ magnitude among the rest — in particular the second-largest magnitude
 overall, which also sets the asymptotic decay rate of the formula's
 parasitic modes.
 
-Roots come from ``numpy.roots`` (companion-matrix eigenvalues), which is
-backward stable: each computed root is an exact root of a polynomial whose
-coefficients are a tiny relative perturbation of the input.  The residual
-contract checked in the test suite is |p(z)| <= 1e-8 * ||p||_1 * max(1,|z|)^n
-for every reported root z.
+Roots are the eigenvalues of the companion matrix, computed by one private
+kernel that calls LAPACK ``dgeev`` (no eigenvectors) directly.  It makes the
+same LAPACK call as ``numpy.roots``, without the wrapper cost, so its roots
+are bit-identical to ``numpy.roots``; and it serves both the classifier and
+the search objective, so the two agree to the bit.  Companion eigenvalues are
+backward stable (Edelman & Murakami, Math. Comp. 1995): each computed root is
+an exact root of a polynomial whose coefficients are a tiny relative
+perturbation of the input.  The residual contract checked in the test suite
+is |p(z)| <= 1e-8 * ||p||_1 * max(1,|z|)^n for every reported root z.
 
 The search entry point is :func:`objective_function`, which maps a seed to
 the maximum root magnitude of its formula and absorbs every degenerate
@@ -21,18 +25,18 @@ outcome into a large penalty so the optimizer sees a total function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable
 
 import numpy as np
+from scipy.linalg.lapack import dgeev
 
 from .taylor_system import (
-    Dimensions,
-    NonNormalizableSeedError,
-    echelon_block,
-    nullvector_to_formula,
-    seed_to_nullvector,
+    NORMALIZE_RTOL,
     DifferenceFormula,
+    Dimensions,
+    echelon_block,
 )
 
 __all__ = [
@@ -46,7 +50,6 @@ __all__ = [
     "analyze",
     "analyze_formula",
     "objective_function",
-    "objective",
 ]
 
 # |z| within this of 1 counts as "on the unit circle".
@@ -60,7 +63,8 @@ PENALTY = 1e6
 
 
 class DegenerateInputError(ValueError):
-    """Polynomial input with no usable leading coefficient."""
+    """Polynomial input the root solver cannot use: too few, complex or
+    non-finite coefficients, or no usable leading coefficient."""
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,9 @@ class RootReport:
 
 def _coeffs(p) -> np.ndarray:
     a = np.asarray(p, dtype=complex)
-    if np.isrealobj(np.asarray(p)) or np.all(a.imag == 0):
-        a = a.real.astype(float)
+    if np.any(a.imag):
+        raise DegenerateInputError("polynomial coefficients must be real")
+    a = a.real
     if a.ndim != 1 or a.size < 2:
         raise DegenerateInputError("need at least two polynomial coefficients")
     if not np.all(np.isfinite(a)):
@@ -88,11 +93,45 @@ def _coeffs(p) -> np.ndarray:
     return a
 
 
+def _companion_roots(tail: np.ndarray, comp: np.ndarray, out: np.ndarray) -> bool:
+    """Write the roots of the polynomial whose negated monic tail
+    -p[1:]/p[0] is ``tail`` into the complex array ``out``, in LAPACK order.
+
+    ``tail`` must be finite (callers check: LAPACK must never see inf or
+    NaN).  ``comp`` is companion scratch from ``np.eye(n, k=-1, order="F")``
+    (Fortran order spares dgeev a transpose); only its row 0 is written.
+    ``out`` gets (wr, wi) as ``np.linalg.eigvals`` assembles them, so
+    ``np.abs(out)`` matches ``np.roots`` to the bit; ``np.hypot(wr, wi)``
+    would differ in the last ulp.  Returns False if dgeev did not converge.
+    """
+    comp[0] = tail
+    wr, wi, _, _, info = dgeev(comp, compute_vl=0, compute_vr=0)
+    if info != 0:
+        return False
+    out.real = wr
+    out.imag = wi
+    return True
+
+
 def find_roots(p) -> np.ndarray:
-    """All roots of the polynomial ``p`` (descending powers), sorted by
-    magnitude descending with (real, imag) as tie-breakers."""
+    """All roots of the real polynomial ``p`` (descending powers), sorted by
+    magnitude descending with (real, imag) as tie-breakers.
+
+    Bit-identical to ``np.roots(p).astype(complex)`` under the same sort:
+    trailing zero coefficients are stripped and their roots appended as
+    exact zeros, so ``[c, 0, ..., 0]`` gives only zeros.
+    """
     a = _coeffs(p)
-    r = np.roots(a).astype(complex)  # np.roots stays real when no root is complex
+    n = np.flatnonzero(a)[-1]  # degree once trailing zeros are stripped
+    if n == 0:
+        return np.zeros(a.size - 1, dtype=complex)
+    with np.errstate(over="ignore"):  # reported below as a typed error
+        tail = -a[1 : n + 1] / a[0]
+    if not np.isfinite(tail).all():
+        raise DegenerateInputError("leading coefficient too small: companion row overflows")
+    r = np.zeros(a.size - 1, dtype=complex)  # trailing zeros of p are roots at 0
+    if not _companion_roots(tail, np.eye(n, k=-1, order="F"), r[:n]):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
     order = np.lexsort((r.imag, r.real, -np.abs(r)))
     return r[order]
 
@@ -151,55 +190,62 @@ def objective_function(
 ) -> Callable[[np.ndarray], float]:
     """Seed -> max root magnitude, packaged for a numerical minimizer.
 
-    Degenerate seeds (zero, non-finite, non-normalizable, or breaking the
-    eigenvalue solve) score ``penalty`` instead of raising, so the search
-    can roam freely.  Values below 1 are impossible — p(1) = 0 pins a root
-    at 1 — which makes 1 the global floor of the landscape.
+    Degenerate seeds (zero, non-finite, non-normalizable, overflowing the
+    companion matrix, or breaking the eigenvalue solve) score ``penalty``
+    instead of raising, so the search can roam freely.  Values below 1 are
+    impossible — p(1) = 0 pins a root at 1 — which makes 1 the global floor
+    of the landscape.
 
     This closure is the innermost loop of the whole search (hundreds of
-    thousands of calls per session), so it works on a preallocated
-    companion matrix instead of going through the formula/report objects;
-    the result agrees with ``analyze_formula(seed_to_formula(...))``.
+    thousands of calls per session), so it works on preallocated buffers
+    instead of going through the formula/report objects.  Its roots come
+    from the same direct ``dgeev`` kernel as :func:`find_roots`, fed the
+    same companion row, so the value equals
+    ``analyze_formula(seed_to_formula(...)).max_magnitude`` to the bit.
     Each returned closure carries private scratch buffers: share one
     closure freely within a thread, but give each thread its own.
     """
-    block = echelon_block(dims)
-    bf = block.b_float
+    # -B, so that one matmul gives the head -B @ y of the null vector.
+    # Rounding is symmetric in sign, so the bits match -(B @ y) as
+    # seed_to_nullvector computes it.
+    neg_b = -echelon_block(dims).b_float
     s = dims.s
     d = dims.degree
-    rtol = 1e-12  # matches the float-path normalization threshold
-
-    # Companion matrix of the (monic) characteristic polynomial; only the
-    # first row changes between calls.
-    comp = np.zeros((d, d))
-    idx = np.arange(d - 1)
-    comp[idx + 1, idx] = 1.0
+    comp = np.eye(d, k=-1, order="F")
     q = np.empty(d)
+    tail = np.empty(d)
+    roots = np.empty(d, dtype=complex)
+    # Views made once, not on every call.
+    q_head, q_seed, q_rest, tail_rest = q[: d - s], q[d - s :], q[1:], tail[1:]
 
     def f(y: np.ndarray) -> float:
         yv = np.asarray(y, dtype=float)
-        if yv.shape != (s,) or not np.all(np.isfinite(yv)) or not np.any(yv):
+        if yv.shape != (s,) or not np.isfinite(yv).all():
             return penalty
-        np.matmul(bf, yv, out=q[: d - s])
-        np.negative(q[: d - s], out=q[: d - s])
-        q[d - s :] = yv
-        lead = q[0]
-        if abs(lead) < rtol * np.abs(q).max():
+        np.matmul(neg_b, yv, out=q_head)
+        q_seed[:] = yv
+        # max|q| is 0 exactly when the seed is zero (then q is all zeros).
+        scale = np.abs(q).max()
+        if scale == 0.0 or abs(q[0]) < NORMALIZE_RTOL * scale:
             return penalty
-        np.divide(q, lead, out=q)
-        # p = [1, -sum(q), q[1:]] -> companion first row is -p[1:]
-        comp[0, 0] = q.sum()
-        comp[0, 1:] = -q[1:]
-        try:
-            roots = np.linalg.eigvals(comp)
-        except np.linalg.LinAlgError:
+        np.divide(q, q[0], out=q)
+        # p = [1, -sum(q), q[1:]], so the negated monic tail -p[1:] is
+        # [sum(q), -q[1:]]
+        tail[0] = q.sum()
+        if not math.isfinite(tail[0]):  # as it is if any entry of q is not
             return penalty
-        val = float(np.abs(roots).max())
-        return val if np.isfinite(val) else penalty
+        np.negative(q_rest, out=tail_rest)
+        if tail[-1] == 0.0:
+            # p ends in zeros: deflate them exactly as the classifier does
+            try:
+                r = find_roots(np.concatenate(([1.0], -tail)))
+            except np.linalg.LinAlgError:
+                return penalty
+        elif _companion_roots(tail, comp, roots):
+            r = roots
+        else:
+            return penalty
+        val = float(np.abs(r).max())
+        return val if math.isfinite(val) else penalty
 
     return f
-
-
-def objective(dims: Dimensions, y, *, penalty: float = PENALTY) -> float:
-    """One-off evaluation of :func:`objective_function`."""
-    return objective_function(dims, penalty=penalty)(np.asarray(y, dtype=float))
