@@ -19,8 +19,7 @@ and the coefficient c of tau * dx.  Float mode prints 4 decimal places;
 prints lowest-term fractions (the second magnitude, an algebraic number,
 is shown as its closest small-denominator rational).  ``--format json``
 emits one JSON object per row with full-precision floats; identical
-invocations with the same --rng-seed produce byte-identical output
-regardless of FD_FORGE_THREADS.
+invocations with the same --rng-seed produce byte-identical output.
 
 Exit codes: 0 success, 1 internal error or failed validation, 2 bad
 arguments.

@@ -19,27 +19,27 @@ dimension pairs these cluster just above 1, the signature of near-miss
 basins.
 
 Reproducibility: every outer run owns a child of one ``SeedSequence``, so
-results are a pure function of the rng seed and independent of the worker
-count.  FD_FORGE_THREADS > 1 runs outer iterations in a thread pool;
-aggregation always happens in (outer, inner) order and candidate lists are
-deduplicated by polynomial coefficients.
+results are a pure function of the rng seed, and an outer run's outcome
+depends on its own child only: the first R runs of a longer session find
+exactly what a session of R runs finds.  Outer runs execute one after
+another in a single thread (a thread pool was measured slower: the loop
+holds the GIL); aggregation happens in (outer, inner) order and candidate
+lists are deduplicated by polynomial coefficients.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .charpoly import PENALTY, RootReport, analyze_formula, objective_function
 from .taylor_system import DifferenceFormula, Dimensions, seed_to_formula
 
 __all__ = [
     "DEDUP_TOL",
+    "STALL_ITERS",
     "SearchConfig",
     "Candidate",
     "SearchResult",
@@ -47,12 +47,15 @@ __all__ = [
     "random_seed",
     "perturb",
     "discover",
-    "worker_count",
 ]
 
 # Two formulas whose polynomial coefficients agree within this (absolute,
 # per coefficient) are the same discovery.
 DEDUP_TOL = 1e-8
+
+# Nelder-Mead stops once its best vertex has stayed put this many
+# consecutive iterations (see nelder_mead).
+STALL_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -118,21 +121,86 @@ def nelder_mead(
     Standard simplex coefficients (reflection 1, expansion 2, contraction
     0.5, shrink 0.5), initial simplex displacing each coordinate by 5%
     (0.00025 when the coordinate is zero), termination when the simplex
-    collapses below tol_x in x AND tol_f in f.
+    collapses below tol_x in x AND tol_f in f, or after max_iter
+    iterations.  These are the steps of SciPy's
+    ``minimize(method="Nelder-Mead", adaptive=False)`` with ``xatol=tol_x``,
+    ``fatol=tol_f`` and ``maxiter=max_iter``, taken in the same order on
+    the same floats (vertices reordered by ``np.argsort`` then ``np.take``,
+    ``nit`` counted the same way), with ``f`` called once per point.
+
+    One exit is added: stop once the best vertex has not changed for
+    ``STALL_ITERS`` consecutive iterations.  Plateaus make NM stall like
+    this (McKinnon, SIAM J. Optim. 9(1), 1998), shrinking in place for
+    the rest of ``max_iter`` at about 4.6 evaluations per iteration.  The
+    best vertex only changes when the reorder moves another vertex to the
+    front, so an unchanged front row is an unchanged ``(x, fun)``: the
+    exit returns exactly what the uncapped run returns, unless that run
+    would have moved its best vertex again after more than ``STALL_ITERS``
+    idle iterations.  (The test is on the vertex, not on a strict decrease
+    of ``fun``, because NumPy's default argsort is not stable on every
+    build and may swap tied vertices.)  Over the 1,315 polishes of the
+    reference searches at (3,3), (4,4) and (5,5), the longest idle stretch
+    that a later move ended was 148 iterations.
     """
-    res = minimize(
-        f,
-        np.asarray(x0, dtype=float),
-        method="Nelder-Mead",
-        options={
-            "xatol": tol_x,
-            "fatol": tol_f,
-            "maxiter": max_iter,
-            "initial_simplex": None,
-            "adaptive": False,
-        },
-    )
-    return np.asarray(res.x, dtype=float), float(res.fun), int(res.nit)
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([f(v) for v in sim], dtype=float)
+    # SciPy sorts the first simplex twice; an unstable sort may swap ties.
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    nit = 1
+    idle = 0
+    while nit < max_iter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= tol_x
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= tol_f):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        # SciPy's forms such as (1 + rho) * xbar - rho * x with rho = 1,
+        # chi = 2 and psi = sigma = 0.5 folded in; every folded constant is
+        # exact, so the points keep their bits.
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        nit += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+        idle = 0 if ind[0] else idle + 1
+        if idle >= STALL_ITERS:
+            break
+    return sim[0], float(np.min(fsim)), nit
 
 
 def random_seed(s: int, rng: np.random.Generator) -> np.ndarray:
@@ -158,15 +226,6 @@ def perturb(y: np.ndarray, rng: np.random.Generator, scale: float) -> np.ndarray
     while not np.any(out):
         out = y + amp * rng.standard_normal(len(y))
     return out
-
-
-def worker_count() -> int:
-    """Parallelism from FD_FORGE_THREADS (default 1, floor 1)."""
-    raw = os.environ.get("FD_FORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _same_formula(p_a: Sequence[float], p_b: Sequence[float]) -> bool:
@@ -278,7 +337,8 @@ def discover(
     ``initial_seed`` replaces the random draw of outer run 0 only — the
     remaining runs stay random, so a known-good start point can be verified
     and still be surrounded by fresh exploration.  Results are reproducible
-    for a fixed config and independent of FD_FORGE_THREADS.
+    for a fixed config, and outer run i finds the same formulas whatever
+    ``runs`` is, as long as it is > i.
     """
     init = None if initial_seed is None else np.asarray(initial_seed, dtype=float)
     if init is not None and init.shape != (config.dims.s,):
@@ -287,17 +347,10 @@ def discover(
         )
 
     children = np.random.SeedSequence(config.rng_seed).spawn(config.runs)
-    jobs = [
-        (config, i, children[i], init if i == 0 else None) for i in range(config.runs)
+    outcomes = [
+        _run_outer(config, i, children[i], init if i == 0 else None)
+        for i in range(config.runs)
     ]
-
-    workers = worker_count()
-    if workers == 1:
-        outcomes = [_run_outer(*job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_outer, *job) for job in jobs]
-            outcomes = [fut.result() for fut in futures]
 
     candidates: list[Candidate] = []
     attempts = 0

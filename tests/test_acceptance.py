@@ -284,9 +284,9 @@ def test_criterion_8_byte_identical_json(capsys, tmp_path):
             "--format", "json",
         ]
         outs = []
-        for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):
-            path = tmp_path / f"{name}.jsonl"
-            env = dict(os.environ, FD_FORGE_THREADS=threads)
+        for hash_seed in ("0", "1", "2"):
+            path = tmp_path / f"{hash_seed}.jsonl"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
             proc = subprocess.run(args + ["--output", str(path)],
                                   capture_output=True, env=env, timeout=180)
             assert proc.returncode == 0, proc.stderr
@@ -297,4 +297,5 @@ def test_criterion_8_byte_identical_json(capsys, tmp_path):
         ok = True
     finally:
         report(capsys, 8, ok,
-               "repeat discover runs emit byte-identical JSON across thread counts")
+               "repeat discover runs emit byte-identical JSON across fresh "
+               "processes with PYTHONHASHSEED 0, 1, 2")

@@ -23,7 +23,6 @@ def test_all_four_demos_present():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
 def test_demo_runs(demo):
     env = dict(os.environ)
-    env.pop("FD_FORGE_THREADS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )

@@ -1,7 +1,14 @@
-"""Nelder-Mead wrapper, randomized helpers, and the discovery double loop."""
+"""Nelder-Mead, randomized helpers, and the discovery double loop."""
+
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from fdforge.charpoly import analyze_formula, objective_function
 from fdforge.search import (
@@ -12,7 +19,6 @@ from fdforge.search import (
     nelder_mead,
     perturb,
     random_seed,
-    worker_count,
 )
 from fdforge.taylor_system import Dimensions, seed_to_formula
 
@@ -23,21 +29,62 @@ def rosenbrock(v):
     return float((1 - v[0]) ** 2 + 100 * (v[1] - v[0] ** 2) ** 2)
 
 
+def scipy_nm(f, x0, max_iter=2000):
+    """SciPy's Nelder-Mead with the options nelder_mead documents."""
+    return minimize(f, x0, method="Nelder-Mead", options={
+        "xatol": 1e-8, "fatol": 1e-10, "maxiter": max_iter,
+        "initial_simplex": None, "adaptive": False,
+    })
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
 # -------------------------------------------------------------- nelder-mead
 
 
 def test_nm_quadratic_bowl():
     a = np.array([3.0, -2.0, 0.5])
-    x, f, nit = nelder_mead(lambda v: float(np.sum((v - a) ** 2)), np.zeros(3))
+
+    def bowl(v):
+        return float(np.sum((v - a) ** 2))
+
+    x, f, nit = nelder_mead(bowl, np.zeros(3))
     assert np.abs(x - a).max() < 1e-6
     assert f < 1e-10
     assert nit >= 1
+    ref = scipy_nm(bowl, np.zeros(3))
+    assert same_bits(x, ref.x) and f == ref.fun and nit == ref.nit
 
 
 def test_nm_rosenbrock_classic_start():
     x, f, nit = nelder_mead(rosenbrock, np.array([-1.2, 1.0]))
     assert f < 1e-6
     assert np.abs(x - 1.0).max() < 1e-3
+    ref = scipy_nm(rosenbrock, np.array([-1.2, 1.0]))
+    assert same_bits(x, ref.x) and f == ref.fun and nit == ref.nit
+
+
+def test_nm_matches_scipy_and_stops_stalls_early():
+    # SciPy's Nelder-Mead is the reference: on random (4,4) starts the
+    # polish must land on the same point to the bit, in no more iterations.
+    # Starts on which SciPy idles to maxiter must occur, and there the
+    # stall exit must end the polish early with the same answer.
+    obj = objective_function(Dimensions(4, 4))
+    rng = np.random.default_rng(2024)
+    capped = early = 0
+    for _ in range(40):
+        y0 = rng.standard_normal(4)
+        ref = scipy_nm(obj, y0)
+        x, f, nit = nelder_mead(obj, y0)
+        assert same_bits(x, ref.x) and f == ref.fun, y0
+        assert nit <= ref.nit
+        if ref.nit >= 2000:
+            capped += 1
+            early += nit < ref.nit
+    assert capped >= 5
+    assert early >= capped - 2
 
 
 def test_nm_known_good_seed_sits_on_the_floor():
@@ -131,17 +178,6 @@ def test_config_validation():
         SearchConfig(dims=d, runs=1, restarts=1, perturb_scale=0.0)
 
 
-def test_worker_count_parsing(monkeypatch):
-    monkeypatch.delenv("FD_FORGE_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("FD_FORGE_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("FD_FORGE_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("FD_FORGE_THREADS", "many")
-    assert worker_count() == 1
-
-
 # ----------------------------------------------------------------- discover
 
 
@@ -202,18 +238,36 @@ def test_discover_reproducible():
     assert r1.failure_plateaus == r2.failure_plateaus
 
 
-def test_discover_thread_count_invariance(monkeypatch):
+def test_discover_outer_runs_independent_of_run_count():
+    # each outer run draws only from its own SeedSequence child, so the
+    # first two runs of a six-run session find what a two-run session finds
     cfg = SearchConfig(dims=Dimensions(2, 2), runs=6, restarts=2, rng_seed=42)
-    monkeypatch.setenv("FD_FORGE_THREADS", "1")
-    r1 = discover(cfg)
-    monkeypatch.setenv("FD_FORGE_THREADS", "3")
-    r3 = discover(cfg)
-    assert [c.formula.p for c in r1.candidates] == [c.formula.p for c in r3.candidates]
-    assert [c.outer_index for c in r1.candidates] == [
-        c.outer_index for c in r3.candidates
-    ]
-    assert r1.attempts == r3.attempts
-    assert r1.failure_plateaus == r3.failure_plateaus
+    short = discover(replace(cfg, runs=2))
+    full = discover(cfg)
+
+    def key(cands):
+        return [(c.formula.p, c.seed_final, c.inner_index) for c in cands]
+
+    head = [c for c in full.candidates if c.outer_index < 2]
+    assert short.candidates
+    assert key(short.candidates) == key(head)
+    assert len(full.candidates) > len(head)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the search runs its own Nelder-Mead; importing SciPy's optimizer
+    # would cost set-up time and memory on every command
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fdforge, fdforge.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_discover_candidates_audit_clean():
