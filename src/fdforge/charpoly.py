@@ -9,10 +9,11 @@ overall, which also sets the asymptotic decay rate of the formula's
 parasitic modes.
 
 Roots are the eigenvalues of the companion matrix, computed by one private
-kernel that calls LAPACK ``dgeev`` (no eigenvectors) directly.  It makes the
-same LAPACK call as ``numpy.roots``, without the wrapper cost, so its roots
-are bit-identical to ``numpy.roots``; and it serves both the classifier and
-the search objective, so the two agree to the bit.  Companion eigenvalues are
+kernel that calls LAPACK ``dgeev`` (no eigenvectors) directly, so they are
+bit-identical to ``numpy.roots``.  The classifier and the search objective
+share one float path from seed to roots (the null-vector step of
+``taylor_system``, then this kernel), so a seed gets one verdict and the
+same magnitudes to the bit.  Companion eigenvalues are
 backward stable (Edelman & Murakami, Math. Comp. 1995): each computed root is
 an exact root of a polynomial whose coefficients are a tiny relative
 perturbation of the input.  The residual contract checked in the test suite
@@ -33,9 +34,9 @@ import numpy as np
 from scipy.linalg.lapack import dgeev
 
 from .taylor_system import (
-    NORMALIZE_RTOL,
     DifferenceFormula,
     Dimensions,
+    _nullvector_writer,
     echelon_block,
 )
 
@@ -93,24 +94,31 @@ def _coeffs(p) -> np.ndarray:
     return a
 
 
-def _companion_roots(tail: np.ndarray, comp: np.ndarray, out: np.ndarray) -> bool:
+def _companion_roots(tail: np.ndarray, comp: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the roots of the polynomial whose negated monic tail
-    -p[1:]/p[0] is ``tail`` into the complex array ``out``, in LAPACK order.
+    -p[1:]/p[0] is ``tail`` into the complex array ``out`` and return it.
 
     ``tail`` must be finite (callers check: LAPACK must never see inf or
-    NaN).  ``comp`` is companion scratch from ``np.eye(n, k=-1, order="F")``
-    (Fortran order spares dgeev a transpose); only its row 0 is written.
-    ``out`` gets (wr, wi) as ``np.linalg.eigvals`` assembles them, so
-    ``np.abs(out)`` matches ``np.roots`` to the bit; ``np.hypot(wr, wi)``
-    would differ in the last ulp.  Returns False if dgeev did not converge.
+    NaN).  Its trailing zeros are stripped into exact zero roots at the end
+    of ``out``, as ``np.roots`` does.  ``comp`` is companion scratch from
+    ``np.eye(n, k=-1, order="F")`` (Fortran order spares dgeev a transpose);
+    only its row 0 is written.  ``out`` gets (wr, wi) as
+    ``np.linalg.eigvals`` assembles them, so ``np.abs(out)`` matches
+    ``np.roots`` to the bit; ``np.hypot(wr, wi)`` would differ in the last
+    ulp.  Raises LinAlgError if dgeev does not converge.
     """
+    if tail[-1] == 0.0:  # p ends in a zero: strip it, its root is exactly 0
+        out[-1] = 0.0
+        if tail.size > 1:
+            _companion_roots(tail[:-1], np.eye(tail.size - 1, k=-1, order="F"), out[:-1])
+        return out
     comp[0] = tail
     wr, wi, _, _, info = dgeev(comp, compute_vl=0, compute_vr=0)
     if info != 0:
-        return False
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
     out.real = wr
     out.imag = wi
-    return True
+    return out
 
 
 def find_roots(p) -> np.ndarray:
@@ -122,16 +130,11 @@ def find_roots(p) -> np.ndarray:
     exact zeros, so ``[c, 0, ..., 0]`` gives only zeros.
     """
     a = _coeffs(p)
-    n = np.flatnonzero(a)[-1]  # degree once trailing zeros are stripped
-    if n == 0:
-        return np.zeros(a.size - 1, dtype=complex)
     with np.errstate(over="ignore"):  # reported below as a typed error
-        tail = -a[1 : n + 1] / a[0]
+        tail = -a[1:] / a[0]
     if not np.isfinite(tail).all():
         raise DegenerateInputError("leading coefficient too small: companion row overflows")
-    r = np.zeros(a.size - 1, dtype=complex)  # trailing zeros of p are roots at 0
-    if not _companion_roots(tail, np.eye(n, k=-1, order="F"), r[:n]):
-        raise np.linalg.LinAlgError("eigenvalues did not converge")
+    r = _companion_roots(tail, np.eye(tail.size, k=-1, order="F"), np.empty_like(tail, complex))
     order = np.lexsort((r.imag, r.real, -np.abs(r)))
     return r[order]
 
@@ -190,62 +193,39 @@ def objective_function(
 ) -> Callable[[np.ndarray], float]:
     """Seed -> max root magnitude, packaged for a numerical minimizer.
 
-    Degenerate seeds (zero, non-finite, non-normalizable, overflowing the
-    companion matrix, or breaking the eigenvalue solve) score ``penalty``
+    Degenerate seeds (wrong shape, zero, non-finite, non-normalizable,
+    overflowing, or breaking the eigenvalue solve) score ``penalty``
     instead of raising, so the search can roam freely.  Values below 1 are
     impossible — p(1) = 0 pins a root at 1 — which makes 1 the global floor
     of the landscape.
 
     This closure is the innermost loop of the whole search (hundreds of
     thousands of calls per session), so it works on preallocated buffers
-    instead of going through the formula/report objects.  Its roots come
-    from the same direct ``dgeev`` kernel as :func:`find_roots`, fed the
-    same companion row, so the value equals
-    ``analyze_formula(seed_to_formula(...)).max_magnitude`` to the bit.
+    instead of going through the formula/report objects.  It runs the same
+    two steps as ``analyze_formula(seed_to_formula(...))`` (the null vector,
+    then the companion-root kernel), so it scores ``penalty`` exactly where
+    that raises and otherwise equals its ``max_magnitude`` to the bit.
     Each returned closure carries private scratch buffers: share one
     closure freely within a thread, but give each thread its own.
     """
-    # -B, so that one matmul gives the head -B @ y of the null vector.
-    # Rounding is symmetric in sign, so the bits match -(B @ y) as
-    # seed_to_nullvector computes it.
-    neg_b = -echelon_block(dims).b_float
-    s = dims.s
     d = dims.degree
-    comp = np.eye(d, k=-1, order="F")
     q = np.empty(d)
+    write_nullvector = _nullvector_writer(echelon_block(dims), q)
+    comp = np.eye(d, k=-1, order="F")
     tail = np.empty(d)
     roots = np.empty(d, dtype=complex)
     # Views made once, not on every call.
-    q_head, q_seed, q_rest, tail_rest = q[: d - s], q[d - s :], q[1:], tail[1:]
+    q_rest, tail_rest = q[1:], tail[1:]
 
     def f(y: np.ndarray) -> float:
-        yv = np.asarray(y, dtype=float)
-        if yv.shape != (s,) or not np.isfinite(yv).all():
+        try:
+            # p = [1, -sum(q), q[1:]], so the negated monic tail -p[1:] is
+            # [sum(q), -q[1:]]
+            tail[0] = write_nullvector(y)
+            np.negative(q_rest, out=tail_rest)
+            val = float(np.abs(_companion_roots(tail, comp, roots)).max())
+        except (ValueError, np.linalg.LinAlgError):
             return penalty
-        np.matmul(neg_b, yv, out=q_head)
-        q_seed[:] = yv
-        # max|q| is 0 exactly when the seed is zero (then q is all zeros).
-        scale = np.abs(q).max()
-        if scale == 0.0 or abs(q[0]) < NORMALIZE_RTOL * scale:
-            return penalty
-        np.divide(q, q[0], out=q)
-        # p = [1, -sum(q), q[1:]], so the negated monic tail -p[1:] is
-        # [sum(q), -q[1:]]
-        tail[0] = q.sum()
-        if not math.isfinite(tail[0]):  # as it is if any entry of q is not
-            return penalty
-        np.negative(q_rest, out=tail_rest)
-        if tail[-1] == 0.0:
-            # p ends in zeros: deflate them exactly as the classifier does
-            try:
-                r = find_roots(np.concatenate(([1.0], -tail)))
-            except np.linalg.LinAlgError:
-                return penalty
-        elif _companion_roots(tail, comp, roots):
-            r = roots
-        else:
-            return penalty
-        val = float(np.abs(r).max())
         return val if math.isfinite(val) else penalty
 
     return f

@@ -250,6 +250,25 @@ def _run_outer(
     found: list[Candidate] = []
     attempts = 0
 
+    def classify(y0: np.ndarray, y: np.ndarray, fy: float, nit: int, inner_index: int):
+        """Candidate for seed ``y`` if it is convergent, else None.  A value
+        fy = f(y) below the penalty means the float seed path cannot raise."""
+        if fy >= cfg.penalty:
+            return None
+        formula = seed_to_formula(cfg.dims, y)
+        report = analyze_formula(formula)
+        if not report.convergent:
+            return None
+        return Candidate(
+            seed_initial=tuple(float(v) for v in y0),
+            seed_final=tuple(float(v) for v in y),
+            formula=formula,
+            report=report,
+            outer_index=outer_index,
+            inner_index=inner_index,
+            nm_iterations=nit,
+        )
+
     def attempt(y0: np.ndarray, inner_index: int):
         """Polish one start point; returns (f_min, y_min, candidate|None)."""
         nonlocal attempts
@@ -257,41 +276,14 @@ def _run_outer(
         # A start point that already satisfies the root condition is a
         # finished formula: record it verbatim (zero NM iterations) instead
         # of letting the minimizer wander it off its exact coefficients.
-        f0 = f(y0)
-        if f0 < cfg.penalty:
-            formula0 = seed_to_formula(cfg.dims, y0)
-            report0 = analyze_formula(formula0)
-            if report0.convergent:
-                return f0, y0, Candidate(
-                    seed_initial=tuple(float(v) for v in y0),
-                    seed_final=tuple(float(v) for v in y0),
-                    formula=formula0,
-                    report=report0,
-                    outer_index=outer_index,
-                    inner_index=inner_index,
-                    nm_iterations=0,
-                )
-        x, fx, nit = nelder_mead(
-            f, y0, tol_x=cfg.nm_tol_x, tol_f=cfg.nm_tol_f, max_iter=cfg.nm_max_iter
-        )
-        if fx >= cfg.penalty:
-            return fx, x, None
-        try:
-            formula = seed_to_formula(cfg.dims, x)
-        except ValueError:
-            return fx, x, None
-        report = analyze_formula(formula)
-        if not report.convergent:
-            return fx, x, None
-        return fx, x, Candidate(
-            seed_initial=tuple(float(v) for v in y0),
-            seed_final=tuple(float(v) for v in x),
-            formula=formula,
-            report=report,
-            outer_index=outer_index,
-            inner_index=inner_index,
-            nm_iterations=nit,
-        )
+        x, fx, nit = y0, f(y0), 0
+        cand = classify(y0, x, fx, nit, inner_index)
+        if cand is None:
+            x, fx, nit = nelder_mead(
+                f, y0, tol_x=cfg.nm_tol_x, tol_f=cfg.nm_tol_f, max_iter=cfg.nm_max_iter
+            )
+            cand = classify(y0, x, fx, nit, inner_index)
+        return fx, x, cand
 
     y0 = random_seed(cfg.dims.s, rng) if initial_seed is None else np.asarray(
         initial_seed, dtype=float

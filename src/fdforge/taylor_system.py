@@ -34,6 +34,7 @@ feeds the root-magnitude minimization, which only needs speed.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -76,7 +77,8 @@ class PivotDisplacementError(ArithmeticError):
 
 
 class NonNormalizableSeedError(ValueError):
-    """The seed spawns a null vector whose leading entry is (near) zero."""
+    """The seed spawns a null vector whose leading entry is (near) zero, or
+    (float path) whose normalization overflows."""
 
 
 @dataclass(frozen=True)
@@ -94,10 +96,13 @@ class Dimensions:
     allow_large_k: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
-        if self.s < 1:
-            raise ValueError(f"s must be a positive integer, got {self.s}")
+        for name, value in (("k", self.k), ("s", self.s)):
+            try:
+                if operator.index(value) >= 1:  # NumPy integers pass too
+                    continue
+            except TypeError:
+                pass
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.k > K_LIMIT and not self.allow_large_k:
             raise ValueError(
                 f"k = {self.k} exceeds the factorial-growth guard k <= {K_LIMIT}; "
@@ -113,10 +118,6 @@ class Dimensions:
     @property
     def ell(self) -> int:
         return self.k + self.s - 1
-
-    @property
-    def m(self) -> int:
-        return self.k + 1
 
     @property
     def degree(self) -> int:
@@ -236,44 +237,72 @@ def echelon_block(dims: Dimensions) -> EchelonBlock:
     return reduce_to_echelon(build_taylor_matrix(dims))
 
 
+def _nullvector_writer(block: EchelonBlock, q: np.ndarray):
+    """Return ``write(y)``: it writes the normalized null vector of the float
+    seed ``y`` into ``q`` (length k+s) and returns sum(q), which is -p[1].
+
+    Every float seed guard lives here.  ``write`` raises ValueError for a
+    seed that is not a finite length-s vector or is zero, and
+    NonNormalizableSeedError when |q[0]| < NORMALIZE_RTOL * max|q| or when
+    normalizing overflows (sum(q) not finite).  Views are made once: the
+    search objective calls ``write`` hundreds of thousands of times.
+    """
+    # -B @ y has the bits of -(B @ y): rounding is symmetric in sign.
+    neg_b = -block.b_float
+    s = block.dims.s
+    q_head, q_seed = q[: block.dims.k], q[block.dims.k :]
+
+    def write(y) -> float:
+        yv = np.asarray(y, dtype=float)
+        if yv.shape != (s,) or not np.isfinite(yv).all():
+            raise ValueError(f"seed must be a finite vector of length s = {s}")
+        np.matmul(neg_b, yv, out=q_head)
+        q_seed[:] = yv
+        # max|q| is 0 exactly when the seed is zero (then q is all zeros).
+        scale = np.abs(q).max()
+        if scale == 0.0:
+            raise ValueError("seed must be nonzero")
+        if abs(q[0]) < NORMALIZE_RTOL * scale:
+            raise NonNormalizableSeedError(f"leading null vector entry {q[0]:.3e} is negligible")
+        np.divide(q, q[0], out=q)
+        total = q.sum()
+        if not math.isfinite(total):  # as it is if any entry of q is not
+            raise NonNormalizableSeedError("normalized null vector overflows float64")
+        return total
+
+    return write
+
+
 def seed_to_nullvector(block: EchelonBlock, y: Sequence, *, exact: bool = False):
     """Spawn the normalized left null vector selected by seed ``y``.
 
     The raw null vector is q = [-B @ y, y]; it is returned divided by its
-    leading entry so that q[0] = 1.  The float path rejects seeds whose
-    leading entry is below NORMALIZE_RTOL relative to max|q|; the exact path
-    rejects an exactly zero leading entry.
+    leading entry so that q[0] = 1.  A seed of the wrong length or a zero
+    seed raises ValueError, and a leading entry that vanishes raises
+    NonNormalizableSeedError: exactly zero on the exact path, below
+    NORMALIZE_RTOL relative to max|q| on the float path.  The float path
+    also raises ValueError for a non-finite seed and NonNormalizableSeedError
+    for a null vector that overflows float64 once normalized.
     """
     dims = block.dims
+    if not exact:
+        q = np.empty(dims.degree)
+        _nullvector_writer(block, q)(y)
+        return q
     if len(y) != dims.s:
         raise ValueError(f"seed length {len(y)} != s = {dims.s}")
-
-    if exact:
-        ys = [Fraction(v) for v in y]
-        if all(v == 0 for v in ys):
-            raise ValueError("seed must be nonzero")
-        head = [-sum(brow[j] * ys[j] for j in range(dims.s)) for brow in block.b]
-        q = head + ys
-        if q[0] == 0:
-            raise NonNormalizableSeedError(
-                "null vector has zero leading entry; "
-                "the seed generates no normalizable formula"
-            )
-        lead = q[0]
-        return tuple(v / lead for v in q)
-
-    yv = np.asarray(y, dtype=float)
-    if yv.ndim != 1:
-        raise ValueError("seed must be a flat vector")
-    if not np.any(yv):
+    ys = [Fraction(v) for v in y]
+    if all(v == 0 for v in ys):
         raise ValueError("seed must be nonzero")
-    q = np.concatenate([-(block.b_float @ yv), yv])
-    if abs(q[0]) < NORMALIZE_RTOL * np.abs(q).max():
+    head = [-sum(brow[j] * ys[j] for j in range(dims.s)) for brow in block.b]
+    q = head + ys
+    if q[0] == 0:
         raise NonNormalizableSeedError(
-            f"leading null vector entry {q[0]:.3e} is negligible; "
+            "null vector has zero leading entry; "
             "the seed generates no normalizable formula"
         )
-    return q / q[0]
+    lead = q[0]
+    return tuple(v / lead for v in q)
 
 
 def nullvector_to_formula(q, dims: Dimensions) -> DifferenceFormula:
@@ -295,12 +324,9 @@ def nullvector_to_formula(q, dims: Dimensions) -> DifferenceFormula:
     qv = np.asarray(q, dtype=float)
     if abs(qv[0] - 1.0) > 1e-9:
         raise ValueError("null vector must be normalized to q[0] = 1")
-    p = np.empty(dims.degree + 1)
-    p[0] = 1.0
-    p[1] = -qv.sum()
-    p[2:] = qv[1:]
+    p = (1.0, float(-qv.sum()), *(float(v) for v in qv[1:]))
     c = 1.0 - float(np.arange(1.0, dims.degree) @ qv[1:])
-    return DifferenceFormula(dims, tuple(float(v) for v in p), c)
+    return DifferenceFormula(dims, p, c)
 
 
 def seed_to_formula(dims: Dimensions, y: Sequence, *, exact: bool = False) -> DifferenceFormula:

@@ -24,7 +24,7 @@ therefore passes whenever the fitted slope reaches claimed - slope_tol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -315,12 +315,11 @@ def validate_catalog(
     """
     out = []
     for kf in catalog():
-        char = list(kf.char_poly)
         if corrupt == kf.label:
-            char[-1] += 1  # breaks p(1) = 0 and, generically, the roots
-        lead = Fraction(char[0])
-        p = tuple(Fraction(v) / lead for v in char)
-        formula = DifferenceFormula(None, p, Fraction(kf.c))
+            # breaks p(1) = 0 and, generically, the roots
+            kf = replace(kf, char_poly=(*kf.char_poly[:-1], kf.char_poly[-1] + 1))
+        formula = kf.to_formula()
+        p = formula.p
 
         sums_to_zero = sum(p) == 0
         dp_at_1 = sum(i * p[len(p) - 1 - i] for i in range(1, len(p)))

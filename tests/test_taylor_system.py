@@ -33,12 +33,12 @@ GRID = [(k, s) for k in range(1, 7) for s in (k, k + 1, k + 2)]
 def test_dimensions_derived_quantities():
     d = Dimensions(3, 5)
     assert d.ell == 7
-    assert d.m == 4
     assert d.degree == 8
     assert d.order == 5
+    assert Dimensions(np.int64(3), np.int64(5)) == d  # NumPy integers pass
 
 
-@pytest.mark.parametrize("k,s", [(0, 1), (-2, 3), (1, 0), (2, -1)])
+@pytest.mark.parametrize("k,s", [(0, 1), (-2, 3), (1, 0), (2, -1), (2.5, 2), (2, "3")])
 def test_dimensions_rejects_nonpositive(k, s):
     with pytest.raises(ValueError):
         Dimensions(k, s)
@@ -167,6 +167,10 @@ def test_nullvector_rejects_zero_seed_and_bad_length():
         seed_to_nullvector(blk, [0.0, 0.0])
     with pytest.raises(ValueError):
         seed_to_nullvector(blk, [1.0, 2.0, 3.0])
+    # non-finite seeds, and a finite seed whose null vector overflows
+    for y in ([np.nan, 1.0], [np.inf, 1.0], [1e308, 1e308]):
+        with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
+            seed_to_nullvector(blk, y)
 
 
 def test_nullvector_annihilates_matrix_exactly():
