@@ -141,6 +141,20 @@ def nelder_mead(
     build and may swap tied vertices.)  Over the 1,315 polishes of the
     reference searches at (3,3), (4,4) and (5,5), the longest idle stretch
     that a later move ended was 148 iterations.
+
+    A shrink can also land the simplex back on itself bit for bit once it
+    has collapsed to the last bit (Lagarias et al., SIAM J. Optim. 9(1),
+    1998).  Only a shrink can: an accepted reflection, expansion or
+    contraction replaces the worst value by a strictly lower one, so the
+    sorted values, and with a pure ``f`` the vertices, change.  The loop
+    state is then a fixed point: ``f`` is pure, the termination test has
+    already failed on it, and every later iteration repeats this one with
+    the same reorder ``ind``.  So the loop returns at once what replaying
+    it would: ``(sim[0], min(fsim))`` with
+    ``nit = min(nit + STALL_ITERS - idle, max_iter)`` when ``ind[0] == 0``
+    (the stall exit or the cap ends the replay) and ``max_iter`` otherwise
+    (every replayed iteration resets ``idle``).  The vertices are compared
+    as bytes, because a NaN coordinate never equals itself under ``==``.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     n = x0.size
@@ -163,6 +177,7 @@ def nelder_mead(
         if (np.max(np.abs(sim[1:] - sim[0])) <= tol_x
                 and np.max(np.abs(fsim[0] - fsim[1:])) <= tol_f):
             break
+        before = None
         xbar = np.add.reduce(sim[:-1], 0) / n
         # SciPy's forms such as (1 + rho) * xbar - rho * x with rho = 1,
         # chi = 2 and psi = sigma = 0.5 folded in; every folded constant is
@@ -190,6 +205,7 @@ def nelder_mead(
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:  # shrink toward the best vertex
+                before = sim.tobytes()
                 for j in range(1, n + 1):
                     sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
                     fsim[j] = f(sim[j])
@@ -199,6 +215,10 @@ def nelder_mead(
         fsim = np.take(fsim, ind, 0)
         idle = 0 if ind[0] else idle + 1
         if idle >= STALL_ITERS:
+            break
+        if before is not None and sim.tobytes() == before:
+            # Fixed point: every later iteration repeats this one.
+            nit = max_iter if ind[0] else min(nit + STALL_ITERS - idle, max_iter)
             break
     return sim[0], float(np.min(fsim)), nit
 

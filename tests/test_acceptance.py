@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fdforge.charpoly import analyze, analyze_formula, objective_function
+from fdforge.charpoly import analyze_formula, objective_function
 from fdforge.search import SearchConfig, discover
 from fdforge.taylor_system import (
     Dimensions,

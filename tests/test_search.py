@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from fdforge.charpoly import analyze_formula, objective_function
+from fdforge.charpoly import PENALTY, analyze_formula, objective_function
 from fdforge.search import (
-    Candidate,
+    STALL_ITERS,
     SearchConfig,
-    SearchResult,
     discover,
     nelder_mead,
     perturb,
@@ -39,6 +38,84 @@ def scipy_nm(f, x0, max_iter=2000):
 
 def same_bits(a, b):
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def nm_without_fixed_point_exit(f, x0, *, tol_x=1e-8, tol_f=1e-10, max_iter=2000):
+    """nelder_mead's loop with the stall exit but without the fixed-point exit:
+    a fixed point is replayed until the stall exit or max_iter ends it."""
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([f(v) for v in sim], dtype=float)
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    nit = 1
+    idle = 0
+    while nit < max_iter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= tol_x
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= tol_f):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        nit += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+        idle = 0 if ind[0] else idle + 1
+        if idle >= STALL_ITERS:
+            break
+    return sim[0], float(np.min(fsim)), nit
+
+
+class CountingObjective:
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, v):
+        self.calls += 1
+        return self.f(v)
+
+
+# Start points of polishes in the (4,4) reference search (runs 4, restarts
+# 10, rng 0; outer runs 0, 1 and 3) whose simplex shrinks onto itself bit for
+# bit: at iteration 260 with 98 idle, 204 with 133 idle and 228 with 6 idle.
+FIXED_POINT_STARTS = [
+    ["0x1.258ad65ba6610p-1", "-0x1.4e28f575e782ap+0", "0x1.62cb5557ac013p-2", "0x1.79d4e8130ec2cp-3"],
+    ["-0x1.3503350807faep+50", "0x1.628acc61413a3p+48", "0x1.a1635942b0140p+48", "-0x1.25ec55a9864d9p+48"],
+    ["0x1.2e7065ae63153p+6", "0x1.e57ca9627aee9p+3", "-0x1.2134b62bcd87dp+8", "0x1.f4d8f32590486p+6"],
+]
 
 
 # -------------------------------------------------------------- nelder-mead
@@ -108,6 +185,47 @@ def test_nm_respects_iteration_cap():
     obj = objective_function(Dimensions(4, 4))
     x, f, nit = nelder_mead(obj, np.array([1.0, 2.0, 3.0, 4.0]), max_iter=50)
     assert nit <= 50
+
+
+@pytest.mark.parametrize("start", FIXED_POINT_STARTS, ids=["outer0", "outer1", "outer3"])
+def test_nm_fixed_point_exit_returns_the_replayed_result(start):
+    # At a fixed point the loop stops instead of replaying it until the stall
+    # exit, and still returns that exit's (x, fun, nit).
+    obj = objective_function(Dimensions(4, 4))
+    y0 = np.array([float.fromhex(h) for h in start])
+    new, ref = CountingObjective(obj), CountingObjective(obj)
+    x, f, nit = nelder_mead(new, y0)
+    rx, rf, rnit = nm_without_fixed_point_exit(ref, y0)
+    assert same_bits(x, rx) and f == rf and nit == rnit
+    assert nit < 2000
+    assert new.calls < ref.calls
+
+
+def test_nm_fixed_point_exit_below_the_stall_horizon_returns_max_iter():
+    # The outer-1 start reaches its fixed point at iteration 204 with 133
+    # idle, so the stall exit would come at 271; a max_iter of 240 ends the
+    # replay first.
+    obj = objective_function(Dimensions(4, 4))
+    y0 = np.array([float.fromhex(h) for h in FIXED_POINT_STARTS[1]])
+    new, ref = CountingObjective(obj), CountingObjective(obj)
+    x, f, nit = nelder_mead(new, y0, max_iter=240)
+    rx, rf, rnit = nm_without_fixed_point_exit(ref, y0, max_iter=240)
+    assert same_bits(x, rx) and f == rf
+    assert nit == rnit == 240
+    assert new.calls < ref.calls
+
+
+def test_nm_fixed_point_exit_compares_bits_not_values():
+    # From a non-finite start every vertex scores the penalty and the first
+    # shrink leaves NaN coordinates, which float == never matches.
+    obj = objective_function(Dimensions(2, 2))
+    y0 = np.array([np.inf, 0.5])
+    new, ref = CountingObjective(obj), CountingObjective(obj)
+    with np.errstate(invalid="ignore"):
+        x, f, nit = nelder_mead(new, y0)
+        rx, rf, rnit = nm_without_fixed_point_exit(ref, y0)
+    assert same_bits(x, rx) and f == rf == PENALTY and nit == rnit
+    assert new.calls < ref.calls
 
 
 # ------------------------------------------------------------- random seeds

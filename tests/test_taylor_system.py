@@ -10,7 +10,6 @@ import pytest
 from fdforge.taylor_system import (
     Dimensions,
     TaylorMatrix,
-    DifferenceFormula,
     NonNormalizableSeedError,
     PivotDisplacementError,
     RankDeficientError,
