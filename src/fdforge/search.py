@@ -7,6 +7,19 @@ global minimization: throw random Gaussian seeds at the landscape, polish
 each with derivative-free Nelder-Mead, and keep the minima that reach the
 floor and pass the root condition.
 
+The landscape is flat along every ray: the null vector is normalized by its
+leading entry q[0] = b·y (b = -B[0]), so f(lam * y) = f(y) for lam != 0.
+Nelder-Mead on all s seed coordinates would search that flat direction too,
+where it stalls and shrinks in place (McKinnon, SIAM J. Optim. 9(1), 1998).
+So it runs on the hyperplane b·y = 1 instead, in s-1 orthonormal
+coordinates (``EchelonBlock.seed_plane``).  Seeds are still drawn and
+perturbed in seed space, and each start point y0 enters the plane as
+y0 / (b·y0), which spawns the same formula; one with b·y0 zero or not finite
+has no such multiple and enters as its orthogonal projection (which for a
+non-finite y0 scores the penalty everywhere).  At s = 1 the plane is a
+single point, every nonzero seed gives the same formula, and Nelder-Mead
+does not run.
+
 The search is a double loop.  Each outer run draws a fresh standard-normal
 seed and minimizes it; on immediate success the run is complete, otherwise
 inner restarts perturb the best seed found so far in that run and minimize
@@ -35,7 +48,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .charpoly import PENALTY, RootReport, analyze_formula, objective_function
-from .taylor_system import DifferenceFormula, Dimensions, seed_to_formula
+from .taylor_system import DifferenceFormula, Dimensions, echelon_block, seed_to_formula
 
 __all__ = [
     "DEDUP_TOL",
@@ -87,7 +100,14 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class Candidate:
-    """One convergent formula as discovered, with the seed and run that produced it."""
+    """One convergent formula as discovered, with the seed and run that produced it.
+
+    seed_initial is the attempt's start point and seed_final the seed whose
+    float formula is ``formula``: the start point itself when it satisfied
+    the root condition already (``nm_iterations == 0``), else the polished
+    point on the seed hyperplane b·y = 1 (b = -B[0]).  Any nonzero multiple
+    of seed_final spawns the same formula.
+    """
 
     seed_initial: tuple
     seed_final: tuple
@@ -267,6 +287,24 @@ def _run_outer(
     """
     rng = np.random.default_rng(ss)
     f = objective_function(cfg.dims, penalty=cfg.penalty)
+    # NM runs in the coordinates z of the seed hyperplane b·y = 1, where
+    # y = y_p + plane @ z (see the module docstring).
+    block = echelon_block(cfg.dims)
+    b = -block.b_float[0]
+    y_p, plane = block.seed_plane
+
+    def lift(z: np.ndarray) -> np.ndarray:
+        return y_p + plane @ z
+
+    def g(z: np.ndarray) -> float:
+        return f(lift(z))
+
+    def onto_plane(y0: np.ndarray) -> np.ndarray:
+        """z of the start point y0 / (b·y0), which spawns the formula of y0;
+        of the orthogonal projection of y0 when b·y0 is zero or not finite."""
+        t = b @ y0
+        return plane.T @ (y0 / t if t != 0.0 and np.isfinite(t) else y0)
+
     found: list[Candidate] = []
     attempts = 0
 
@@ -298,10 +336,13 @@ def _run_outer(
         # of letting the minimizer wander it off its exact coefficients.
         x, fx, nit = y0, f(y0), 0
         cand = classify(y0, x, fx, nit, inner_index)
-        if cand is None:
-            x, fx, nit = nelder_mead(
-                f, y0, tol_x=cfg.nm_tol_x, tol_f=cfg.nm_tol_f, max_iter=cfg.nm_max_iter
+        # At s = 1 the plane is one point: every nonzero seed is one formula.
+        if cand is None and plane.shape[1]:
+            z, fx, nit = nelder_mead(
+                g, onto_plane(y0), tol_x=cfg.nm_tol_x, tol_f=cfg.nm_tol_f,
+                max_iter=cfg.nm_max_iter,
             )
+            x = lift(z)
             cand = classify(y0, x, fx, nit, inner_index)
         return fx, x, cand
 

@@ -148,6 +148,26 @@ class EchelonBlock:
         """float64 copy of B for the optimizer's hot loop."""
         return np.array([[float(v) for v in row] for row in self.b], dtype=float)
 
+    @cached_property
+    def seed_plane(self) -> tuple:
+        """(y_p, N) spanning the float seed hyperplane b·y = 1, b = -B[0].
+
+        On it the raw null vector has q[0] = 1, and every seed y with
+        b·y != 0 has the multiple y / (b·y) there, which spawns the same
+        formula.  Its points are y = y_p + N @ z: y_p = b / |b|^2, and the
+        s x (s-1) columns of N, an orthonormal basis of the vectors
+        orthogonal to b, are the Householder reflector mapping b onto an
+        axis with that axis's column dropped.  Both arrays are read-only.
+        """
+        b = -self.b_float[0]
+        v = b / np.linalg.norm(b)
+        u = v.copy()
+        u[0] += 1.0 if v[0] >= 0 else -1.0  # no cancellation in u[0]
+        reflector = np.eye(v.size) - np.outer(u, u) * (2.0 / (u @ u))
+        y_p, n = b / (b @ b), np.ascontiguousarray(reflector[:, 1:])
+        y_p.flags.writeable = n.flags.writeable = False
+        return y_p, n
+
 
 @dataclass(frozen=True)
 class DifferenceFormula:

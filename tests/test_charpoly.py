@@ -280,9 +280,17 @@ def test_objective_matches_full_pipeline():
 
 
 def test_objective_scale_invariant():
-    d = Dimensions(3, 3)
-    f = objective_function(d)
+    # q = [-By, y] / q[0], so f(lam * y) = f(y) for every lam != 0: the search
+    # can run on the hyperplane q[0] = 1.  Scaling by 2, -1 or 1/2 is exact
+    # in float, so there the value keeps its bits.
     rng = np.random.default_rng(17)
-    for _ in range(20):
-        y = rng.standard_normal(3)
-        assert f(y) == pytest.approx(f(y * 250.0), abs=1e-9)
+    for k in (3, 4, 5):
+        f = objective_function(Dimensions(k, k))
+        for _ in range(200):
+            y = rng.standard_normal(k)
+            v = f(y)
+            assert v < PENALTY
+            for lam in (2.0, -1.0, 0.5):
+                assert f(lam * y) == v, (k, y, lam)
+            lam = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
+            assert f(lam * y) == pytest.approx(v, rel=1e-12, abs=0), (k, y, lam)

@@ -113,6 +113,17 @@ def test_discover_rejects_zero_runs():
     assert r.returncode == 2
 
 
+def test_discover_zero_init_seed_is_deterministic():
+    # the zero seed has no formula of its own; the search starts from its
+    # projection onto the seed hyperplane instead of failing
+    args = ("discover", "--k", "3", "--s", "3", "--runs", "1", "--restarts", "2",
+            "--init-seed=0,0,0", "--format", "json")
+    first, second = run_cli(*args), run_cli(*args)
+    assert first.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
+    assert first.stdout
+
+
 def test_discover_rejects_wrong_seed_length():
     r = run_cli(
         "discover", "--k", "2", "--s", "2",

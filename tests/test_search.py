@@ -19,7 +19,7 @@ from fdforge.search import (
     perturb,
     random_seed,
 )
-from fdforge.taylor_system import Dimensions, seed_to_formula
+from fdforge.taylor_system import Dimensions, echelon_block, seed_to_formula
 
 E_POLY = (1.0, 0.125, -0.75, -0.625, 0.25)
 
@@ -322,8 +322,66 @@ def test_discover_rational_session_seed():
     assert len(res.candidates) == 1
     cand = res.candidates[0]
     assert cand.nm_iterations == 0
+    assert cand.seed_final == cand.seed_initial == (1.0, 110.0, -40.0)
     f = seed_to_formula(Dimensions(3, 3), [1, 110, -40], exact=True)
     assert np.allclose(cand.formula.p, [float(v) for v in f.p], atol=1e-15)
+
+
+def test_discover_polishes_on_the_seed_hyperplane():
+    # Nelder-Mead runs on b.y = 1 (b = -B[0], where q[0] = 1), so every
+    # polished seed lies there, and its formula is the one recorded.
+    dims = Dimensions(4, 4)
+    res = discover(SearchConfig(dims=dims, runs=4, restarts=10, rng_seed=0))
+    b = -echelon_block(dims).b_float[0]
+    polished = [c for c in res.candidates if c.nm_iterations]
+    assert len(polished) >= 5
+    for cand in polished:
+        assert abs(b @ np.array(cand.seed_final) - 1.0) <= 1e-12
+        assert seed_to_formula(dims, cand.seed_final).p == cand.formula.p
+
+
+@pytest.mark.parametrize("k, plateau", [(2, 2.686140661634509), (3, 4.702803653428851)])
+def test_discover_single_entry_seed_runs_no_simplex(k, plateau):
+    # At s = 1 the hyperplane is one point and every nonzero seed gives one
+    # formula, so an attempt scores its start point and Nelder-Mead does not
+    # run.  The plateaus are those of the search over all of seed space to
+    # rounding, as f(lam * y) = f(y) holds to 1e-12 relative.
+    with pytest.warns(UserWarning):  # s < k
+        dims = Dimensions(k, 1)
+    res = discover(SearchConfig(dims=dims, runs=2, restarts=2, rng_seed=0))
+    assert res.attempts == 6
+    assert res.candidates == ()
+    assert res.failure_plateaus == pytest.approx((plateau, plateau), rel=1e-12, abs=0)
+
+
+def degenerate_starts():
+    b = -echelon_block(Dimensions(2, 2)).b_float[0]
+    assert b @ [b[1], -b[0]] == 0.0
+    return [
+        (Dimensions(3, 3), [0.0, 0.0, 0.0]),
+        (Dimensions(2, 2), [b[1], -b[0]]),
+        (Dimensions(2, 2), [np.inf, 0.5]),
+    ]
+
+
+@pytest.mark.parametrize("dims, start", degenerate_starts(),
+                         ids=["zero", "orthogonal-to-b", "non-finite"])
+def test_discover_degenerate_start_is_deterministic(dims, start):
+    # A start point with b.y0 = 0 has no multiple on the hyperplane: it is
+    # projected onto it orthogonally, and a non-finite one scores the penalty.
+    cfg = SearchConfig(dims=dims, runs=1, restarts=2, rng_seed=0)
+
+    def key(res):
+        return ([(c.seed_final, c.formula.p) for c in res.candidates],
+                res.attempts, res.failure_plateaus)
+
+    with np.errstate(invalid="ignore"):
+        first, second = (discover(cfg, initial_seed=start) for _ in range(2))
+    assert key(first) == key(second)
+    if np.isfinite(start).all():
+        assert first.candidates
+    else:
+        assert first.failure_plateaus == (PENALTY,)
 
 
 def test_discover_initial_seed_must_match_s():

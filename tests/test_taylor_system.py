@@ -135,6 +135,24 @@ def test_echelon_block_is_cached():
     assert echelon_block(Dimensions(4, 5)) is echelon_block(Dimensions(4, 5))
 
 
+@pytest.mark.parametrize("k,s", GRID)
+def test_seed_plane_spans_the_unit_leading_entry_hyperplane(k, s):
+    blk = echelon_block(Dimensions(k, s))
+    b = -blk.b_float[0]
+    y_p, n = blk.seed_plane
+    assert n.shape == (s, s - 1)
+    assert abs(b @ y_p - 1.0) <= 1e-15
+    assert np.abs(n.T @ n - np.eye(s - 1)).max(initial=0.0) <= 1e-15
+    assert np.abs(b @ n).max(initial=0.0) <= 1e-15 * np.linalg.norm(b)
+    assert blk.seed_plane is blk.seed_plane
+    with pytest.raises(ValueError):
+        y_p[0] = 0.0
+    # every point y_p + N z spawns a null vector with q[0] = 1 before
+    # normalization
+    z = np.random.default_rng(k * 10 + s).standard_normal(s - 1)
+    assert abs(b @ (y_p + n @ z) - 1.0) <= 1e-15 * np.linalg.norm(b) * (1 + np.linalg.norm(z))
+
+
 # ------------------------------------------------------------ seed -> vector
 
 
