@@ -28,6 +28,7 @@ arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -396,6 +397,7 @@ def cmd_order_check(args, parser: argparse.ArgumentParser) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the four subcommands on every call."""
     parser = argparse.ArgumentParser(
         prog="fdforge",
         description="Construct, analyze, and discover convergent one-step-ahead "
@@ -456,9 +458,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Parsing leaves no state in the parser, so one can serve every call.
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit code; usage errors raise SystemExit(2).
+
+    Every call in a process parses with one parser, built on the first
+    call, so that repeated in-process calls do not pay for rebuilding it.
+    """
     raw = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(_join_value_flags(raw))
     try:
         return args.func(args, parser)

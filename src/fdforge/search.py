@@ -391,13 +391,16 @@ def discover(
     remaining runs stay random, so a known-good start point can be verified
     and still be surrounded by fresh exploration.  Results are reproducible
     for a fixed config, and outer run i finds the same formulas whatever
-    ``runs`` is, as long as it is > i.
+    ``runs`` is, as long as it is > i.  A start point that is not s finite
+    numbers raises ValueError.
     """
     init = None if initial_seed is None else np.asarray(initial_seed, dtype=float)
     if init is not None and init.shape != (config.dims.s,):
         raise ValueError(
             f"initial seed length {init.size} != s = {config.dims.s}"
         )
+    if init is not None and not np.isfinite(init).all():
+        raise ValueError(f"initial seed must be finite, got {init.tolist()}")
 
     children = np.random.SeedSequence(config.rng_seed).spawn(config.runs)
     outcomes = [

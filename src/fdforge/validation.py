@@ -24,6 +24,7 @@ therefore passes whenever the fitted slope reaches claimed - slope_tol.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -185,14 +186,18 @@ class RecurrenceRun:
     diverged: bool
 
 
+def _check_tau(tau: float) -> None:
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
+
+
 def residual(f: DifferenceFormula, x: TestFunction, t: float, tau: float) -> float:
     """One-step defect of ``f`` on exact samples of ``x`` around time t.
 
     sum_i p[i] * x(t + (1-i)*tau) - c * tau * dx(t); zero through rounding
     on polynomials up to the formula's exactness degree.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
     p = [float(v) for v in f.p]
     acc = math.fsum(p[i] * x.value(t + (1 - i) * tau) for i in range(len(p)))
     return acc - float(f.c) * tau * x.derivative(t)
@@ -263,26 +268,28 @@ def simulate(
     of a computed iterate from the exact trajectory; when an iterate
     passes blowup_threshold the run stops there, diverged is set, and
     max_error is the error at the detection point.
+
+    The arithmetic is fixed, so every result is reproducible to the bit:
+    samples and derivatives are taken at t0 + j*tau, the forcing is
+    (c*tau) * dx(t_j), and the degree products p[i]*x_{j+1-i} are summed
+    by ``math.fsum``, which rounds their exact sum once.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    p = [float(v) for v in f.p]
-    c = float(f.c)
-    d = f.degree
+    back = [float(v) for v in f.p[:0:-1]]  # p[degree], .., p[1]
+    d = len(back)
+    c_tau = float(f.c) * tau
+    value, deriv, fsum, mul = x.value, x.derivative, math.fsum, operator.mul
 
-    hist = [x.value(t0 + j * tau) for j in range(d)]
+    hist = [value(t0 + j * tau) for j in range(d)]
     max_error = 0.0
     diverged = False
-    for n in range(steps):
-        j = d - 1 + n  # index of the newest known iterate
-        t_j = t0 + j * tau
-        nxt = c * tau * x.derivative(t_j) - math.fsum(
-            p[i] * hist[-i] for i in range(1, d + 1)
-        )
+    # j indexes the newest known iterate; hist[-d:] is x_{j+1-d}, .., x_j
+    for j in range(d - 1, d - 1 + steps):
+        nxt = c_tau * deriv(t0 + j * tau) - fsum(map(mul, back, hist[-d:]))
         hist.append(nxt)
-        err = abs(nxt - x.value(t0 + (j + 1) * tau))
+        err = abs(nxt - value(t0 + (j + 1) * tau))
         if abs(nxt) > blowup_threshold:
             max_error = err
             diverged = True

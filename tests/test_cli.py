@@ -1,11 +1,15 @@
-"""End-to-end command line tests (subprocess level)."""
+"""End-to-end command line tests (subprocess level, and in process for main)."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from fdforge import cli
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -244,3 +248,40 @@ def test_help_lists_subcommands():
 
 def test_no_subcommand_is_an_error():
     assert run_cli().returncode == 2
+
+
+def test_main_reuses_one_parser_and_prints_what_a_fresh_process_prints(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the same width in both
+    build_parser = cli.build_parser
+    assert build_parser() is not build_parser()
+    builds = []
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._shared_parser.cache_clear()
+    calls = [
+        ("analyze", "--poly", "2,-3,2,-1"),
+        ("analyze", "--poly=1,-1", "--seed=1"),  # usage error
+        ("validate-known", "--json"),
+        ("analyze", "--poly", "2,-3,2,-1"),
+    ]
+
+    def in_process(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main(list(argv))
+            except SystemExit as exc:
+                rc = exc.code
+        return rc, out.getvalue(), err.getvalue()
+
+    got = [in_process(argv) for argv in calls]
+    assert len(builds) == 1
+    assert [rc for rc, _, _ in got] == [0, 2, 0, 0]
+    assert got[3] == got[0]
+    for argv, res in zip(calls, got):
+        r = run_cli(*argv)
+        assert res == (r.returncode, r.stdout, r.stderr), argv

@@ -1,6 +1,7 @@
 """Catalog integrity, truncation-order measurement, recurrence simulation."""
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +11,10 @@ import fdforge.validation as validation
 from fdforge.charpoly import analyze_formula
 from fdforge.taylor_system import DifferenceFormula, Dimensions
 from fdforge.validation import (
+    BLOWUP_THRESHOLD,
     EXP,
     SIN,
+    RecurrenceRun,
     catalog,
     empirical_order,
     monomial,
@@ -233,6 +236,81 @@ def test_simulate_argument_validation():
         simulate(e, SIN, -0.01, 10)
     with pytest.raises(ValueError):
         simulate(e, SIN, 0.01, -1)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+def test_non_finite_tau_is_rejected(tau):
+    # a NaN step used to read as a perfect bounded run (max_error 0.0), and
+    # an infinite one stopped on a bare math domain error
+    e = catalog()[4].to_formula()
+    with pytest.raises(ValueError, match="finite"):
+        simulate(e, SIN, tau, 100)
+    with pytest.raises(ValueError, match="finite"):
+        residual(e, EXP, 0.0, tau)
+
+
+def simulate_reference(f, x, tau, steps, *, t0=0.0, blowup_threshold=BLOWUP_THRESHOLD):
+    """simulate's loop before its per-step overhead was cut: the same samples,
+    forcing and fsum over the same products, one generator per step."""
+    p = [float(v) for v in f.p]
+    c = float(f.c)
+    d = f.degree
+
+    hist = [x.value(t0 + j * tau) for j in range(d)]
+    max_error = 0.0
+    diverged = False
+    for n in range(steps):
+        j = d - 1 + n  # index of the newest known iterate
+        t_j = t0 + j * tau
+        nxt = c * tau * x.derivative(t_j) - math.fsum(
+            p[i] * hist[-i] for i in range(1, d + 1)
+        )
+        hist.append(nxt)
+        err = abs(nxt - x.value(t0 + (j + 1) * tau))
+        if abs(nxt) > blowup_threshold:
+            max_error = err
+            diverged = True
+            break
+        if err > max_error:
+            max_error = err
+
+    return RecurrenceRun(
+        formula=f,
+        function_id=x.name,
+        tau=tau,
+        steps=steps,
+        max_error=max_error,
+        diverged=diverged,
+    )
+
+
+def run_bits(run):
+    """Every field of a RecurrenceRun, floats by their bits."""
+    return {
+        fl.name: v.hex() if isinstance(v, float) else v
+        for fl in fields(run)
+        for v in [getattr(run, fl.name)]
+    }
+
+
+@pytest.mark.parametrize("label", "ABCDEF")
+def test_simulate_bit_identical_to_reference_loop(label):
+    f = {kf.label: kf for kf in catalog()}[label].to_formula()
+    for x in (SIN, EXP, monomial(3)):
+        for tau, steps in ((0.01, 1000), (0.005, 2000), (0.1, 50)):
+            for t0 in (0.0, 1.0):
+                new = simulate(f, x, tau, steps, t0=t0)
+                ref = simulate_reference(f, x, tau, steps, t0=t0)
+                assert run_bits(new) == run_bits(ref), (x.name, tau, steps, t0)
+
+
+def test_simulate_bit_identical_on_divergent_and_empty_runs():
+    bad = DifferenceFormula(None, (1.0, -3.0, 2.0), -1.0)  # roots 1 and 2
+    runs = [(bad, 400), (bad, 10000), (catalog()[4].to_formula(), 0)]
+    for f, steps in runs:
+        new = simulate(f, SIN, 0.01, steps)
+        assert run_bits(new) == run_bits(simulate_reference(f, SIN, 0.01, steps))
+    assert simulate(bad, SIN, 0.01, 10000).diverged
 
 
 def test_simulate_divergence_stops_early():
