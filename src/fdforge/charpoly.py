@@ -9,15 +9,18 @@ overall, which also sets the asymptotic decay rate of the formula's
 parasitic modes.
 
 Roots are the eigenvalues of the companion matrix, computed by one private
-kernel that calls LAPACK ``dgeev`` (no eigenvectors) directly, so they are
-bit-identical to ``numpy.roots``.  The classifier and the search objective
-share one float path from seed to roots (the null-vector step of
-``taylor_system``, then this kernel), so a seed gets one verdict and the
-same magnitudes to the bit.  Companion eigenvalues are
-backward stable (Edelman & Murakami, Math. Comp. 1995): each computed root is
-an exact root of a polynomial whose coefficients are a tiny relative
-perturbation of the input.  The residual contract checked in the test suite
-is |p(z)| <= 1e-8 * ||p||_1 * max(1,|z|)^n for every reported root z.
+kernel that calls NumPy's own LAPACK ``dgeev`` gufunc (no eigenvectors), the
+routine behind ``numpy.linalg.eigvals`` and ``numpy.roots``, without their
+Python wrapper: the roots are bit-identical to ``numpy.roots`` by
+construction, and nothing beyond NumPy is needed at run time.  The
+classifier and the search objective share one float path from seed to
+roots (the null-vector step of ``taylor_system``, then this kernel), so a
+seed gets one verdict and the same magnitudes to the bit.  Companion
+eigenvalues are backward stable (Edelman & Murakami, Math. Comp. 1995):
+each computed root is an exact root of a polynomial whose coefficients are
+a tiny relative perturbation of the input.  The residual contract checked
+in the test suite is |p(z)| <= 1e-8 * ||p||_1 * max(1,|z|)^n for every
+reported root z.
 
 The search entry point is :func:`objective_function`, which maps a seed to
 the maximum root magnitude of its formula and absorbs every degenerate
@@ -26,12 +29,13 @@ outcome into a large penalty so the optimizer sees a total function.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgeev
+from numpy.linalg import _umath_linalg
 
 from .taylor_system import (
     DifferenceFormula,
@@ -61,6 +65,10 @@ ACCEPT_TOL = 1e-9
 CLUSTER_TOL = 1e-6
 # Objective value assigned to seeds that break the pipeline.
 PENALTY = 1e6
+
+# LAPACK dgeev without eigenvectors, as NumPy ships it: the gufunc that
+# np.linalg.eigvals and np.roots call (a private name of numpy.linalg).
+_eigvals = _umath_linalg.eigvals
 
 
 class DegenerateInputError(ValueError):
@@ -101,11 +109,15 @@ def _companion_roots(tail: np.ndarray, comp: np.ndarray, out: np.ndarray) -> np.
     ``tail`` must be finite (callers check: LAPACK must never see inf or
     NaN).  Its trailing zeros are stripped into exact zero roots at the end
     of ``out``, as ``np.roots`` does.  ``comp`` is companion scratch from
-    ``np.eye(n, k=-1, order="F")`` (Fortran order spares dgeev a transpose);
-    only its row 0 is written.  ``out`` gets (wr, wi) as
-    ``np.linalg.eigvals`` assembles them, so ``np.abs(out)`` matches
-    ``np.roots`` to the bit; ``np.hypot(wr, wi)`` would differ in the last
-    ulp.  Raises LinAlgError if dgeev does not converge.
+    ``np.eye(n, k=-1, order="F")`` (Fortran order lets the gufunc copy it
+    column by column); only its row 0 is written.  The gufunc writes
+    wr + i*wi into ``out`` as ``np.linalg.eigvals`` returns them, so
+    ``np.abs(out)`` matches ``np.roots`` to the bit; ``np.hypot(wr, wi)``
+    would differ in the last ulp.
+
+    Raises LinAlgError if dgeev does not converge.  The gufunc then fills
+    ``out`` with NaN and raises NumPy's "invalid value" floating-point
+    error, which callers silence (``np.errstate``) so that nothing prints.
     """
     if tail[-1] == 0.0:  # p ends in a zero: strip it, its root is exactly 0
         out[-1] = 0.0
@@ -113,11 +125,9 @@ def _companion_roots(tail: np.ndarray, comp: np.ndarray, out: np.ndarray) -> np.
             _companion_roots(tail[:-1], np.eye(tail.size - 1, k=-1, order="F"), out[:-1])
         return out
     comp[0] = tail
-    wr, wi, _, _, info = dgeev(comp, compute_vl=0, compute_vr=0)
-    if info != 0:
+    _eigvals(comp, signature="d->D", out=out)
+    if out[0] != out[0]:  # NaN: the whole output is NaN on failure
         raise np.linalg.LinAlgError("eigenvalues did not converge")
-    out.real = wr
-    out.imag = wi
     return out
 
 
@@ -130,11 +140,12 @@ def find_roots(p) -> np.ndarray:
     exact zeros, so ``[c, 0, ..., 0]`` gives only zeros.
     """
     a = _coeffs(p)
-    with np.errstate(over="ignore"):  # reported below as a typed error
+    # An overflow and a LAPACK failure are reported as typed errors instead.
+    with np.errstate(all="ignore"):
         tail = -a[1:] / a[0]
-    if not np.isfinite(tail).all():
-        raise DegenerateInputError("leading coefficient too small: companion row overflows")
-    r = _companion_roots(tail, np.eye(tail.size, k=-1, order="F"), np.empty_like(tail, complex))
+        if not np.isfinite(tail).all():
+            raise DegenerateInputError("leading coefficient too small: companion row overflows")
+        r = _companion_roots(tail, np.eye(tail.size, k=-1, order="F"), np.empty_like(tail, complex))
     order = np.lexsort((r.imag, r.real, -np.abs(r)))
     return r[order]
 
@@ -205,8 +216,12 @@ def objective_function(
     two steps as ``analyze_formula(seed_to_formula(...))`` (the null vector,
     then the companion-root kernel), so it scores ``penalty`` exactly where
     that raises and otherwise equals its ``max_magnitude`` to the bit.
-    Each returned closure carries private scratch buffers: share one
-    closure freely within a thread, but give each thread its own.
+    Each returned closure carries private scratch buffers and a private
+    ``contextvars.Context`` in which the root kernel runs with NumPy's
+    floating-point errors ignored (NumPy 2 keeps ``np.errstate`` in a
+    context variable, and entering the context costs less than an
+    ``np.errstate`` block per call): share one closure freely within a
+    thread, but give each thread its own.
     """
     d = dims.degree
     q = np.empty(d)
@@ -216,6 +231,8 @@ def objective_function(
     roots = np.empty(d, dtype=complex)
     # Views made once, not on every call.
     q_rest, tail_rest = q[1:], tail[1:]
+    with np.errstate(all="ignore"):  # a LAPACK failure scores the penalty
+        quiet = contextvars.copy_context()
 
     def f(y: np.ndarray) -> float:
         try:
@@ -223,7 +240,7 @@ def objective_function(
             # [sum(q), -q[1:]]
             tail[0] = write_nullvector(y)
             np.negative(q_rest, out=tail_rest)
-            val = float(np.abs(_companion_roots(tail, comp, roots)).max())
+            val = float(np.abs(quiet.run(_companion_roots, tail, comp, roots)).max())
         except (ValueError, np.linalg.LinAlgError):
             return penalty
         return val if math.isfinite(val) else penalty

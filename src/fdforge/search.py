@@ -42,6 +42,7 @@ lists are deduplicated by polynomial coefficients.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -128,6 +129,17 @@ class SearchResult:
     failure_plateaus: tuple
 
 
+def _argsort(fsim: list) -> list:
+    """``np.argsort(fsim)`` as a list.  Values that are distinct and not NaN
+    have exactly one ascending order, which ``sorted`` finds; ties and NaN go
+    to NumPy, whose default sort is not stable on every build."""
+    ind = sorted(range(len(fsim)), key=fsim.__getitem__)
+    ordered = [fsim[i] for i in ind]
+    if all(map(operator.lt, ordered, ordered[1:])):
+        return ind
+    return np.argsort(fsim).tolist()
+
+
 def nelder_mead(
     f,
     x0: np.ndarray,
@@ -145,8 +157,21 @@ def nelder_mead(
     iterations.  These are the steps of SciPy's
     ``minimize(method="Nelder-Mead", adaptive=False)`` with ``xatol=tol_x``,
     ``fatol=tol_f`` and ``maxiter=max_iter``, taken in the same order on
-    the same floats (vertices reordered by ``np.argsort`` then ``np.take``,
-    ``nit`` counted the same way), with ``f`` called once per point.
+    the same floats, with ``nit`` counted the same way and ``f`` called
+    once per point, on a float array of x0's size.
+
+    The simplex is kept as lists of Python floats, which for the few
+    coordinates of a seed costs less than NumPy's per-call overhead, and
+    every operation keeps NumPy's order: the centroid adds the rows in
+    order and then divides by n (``np.add.reduce`` over rows is
+    sequential; Python's ``sum`` is not used, as from Python 3.12 it
+    compensates), and the points use the same folded constants.  The
+    vertices are reordered as ``np.argsort`` orders them: ``sorted`` when
+    the n+1 values are distinct and none is NaN, and ``np.argsort`` itself
+    on a tie or a NaN, because its default sort is not stable on every
+    build (on AVX-512 it may order tied values differently from a stable
+    sort).  SciPy's double sort of the first simplex is kept for the same
+    reason.
 
     One exit is added: stop once the best vertex has not changed for
     ``STALL_ITERS`` consecutive iterations.  Plateaus make NM stall like
@@ -157,10 +182,9 @@ def nelder_mead(
     exit returns exactly what the uncapped run returns, unless that run
     would have moved its best vertex again after more than ``STALL_ITERS``
     idle iterations.  (The test is on the vertex, not on a strict decrease
-    of ``fun``, because NumPy's default argsort is not stable on every
-    build and may swap tied vertices.)  Over the 1,315 polishes of the
-    reference searches at (3,3), (4,4) and (5,5), the longest idle stretch
-    that a later move ended was 148 iterations.
+    of ``fun``, because the reorder may swap tied vertices.)  Over the
+    1,315 polishes of the reference searches at (3,3), (4,4) and (5,5),
+    the longest idle stretch that a later move ended was 148 iterations.
 
     A shrink can also land the simplex back on itself bit for bit once it
     has collapsed to the last bit (Lagarias et al., SIAM J. Optim. 9(1),
@@ -176,37 +200,43 @@ def nelder_mead(
     (every replayed iteration resets ``idle``).  The vertices are compared
     as bytes, because a NaN coordinate never equals itself under ``==``.
     """
-    x0 = np.asarray(x0, dtype=float).ravel()
-    n = x0.size
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
+    x0 = np.asarray(x0, dtype=float).ravel().tolist()
+    n = len(x0)
+    if n == 0:
+        raise ValueError("x0 must have at least one coordinate")
+    sim = [x0]
     for k in range(n):
         y = x0.copy()
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    fsim = np.array([f(v) for v in sim], dtype=float)
+        sim.append(y)
+    fsim = [f(np.array(v)) for v in sim]
     # SciPy sorts the first simplex twice; an unstable sort may swap ties.
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = _argsort(fsim)
+        sim = [sim[i] for i in ind]
+        fsim = [fsim[i] for i in ind]
 
     nit = 1
     idle = 0
     while nit < max_iter:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= tol_x
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= tol_f):
+        best, fbest = sim[0], fsim[0]
+        if (all(abs(fbest - v) <= tol_f for v in fsim[1:])
+                and all(abs(a - b) <= tol_x for row in sim[1:] for a, b in zip(row, best))):
             break
         before = None
-        xbar = np.add.reduce(sim[:-1], 0) / n
+        xbar = sim[0]
+        for row in sim[1:-1]:
+            xbar = [a + b for a, b in zip(xbar, row)]
+        xbar = [a / n for a in xbar]
+        worst = sim[-1]
         # SciPy's forms such as (1 + rho) * xbar - rho * x with rho = 1,
         # chi = 2 and psi = sigma = 0.5 folded in; every folded constant is
         # exact, so the points keep their bits.
-        xr = 2 * xbar - sim[-1]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(xe)
+        xr = [2 * a - b for a, b in zip(xbar, worst)]
+        fxr = f(np.array(xr))
+        if fxr < fbest:
+            xe = [3 * a - 2 * b for a, b in zip(xbar, worst)]
+            fxe = f(np.array(xe))
             if fxe < fxr:
                 sim[-1], fsim[-1] = xe, fxe
             else:
@@ -215,32 +245,32 @@ def nelder_mead(
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:  # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = f(xc)
+                xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, worst)]
+                fxc = f(np.array(xc))
                 accept = fxc <= fxr
             else:  # inside contraction
-                xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = f(xc)
+                xc = [0.5 * a + 0.5 * b for a, b in zip(xbar, worst)]
+                fxc = f(np.array(xc))
                 accept = fxc < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:  # shrink toward the best vertex
-                before = sim.tobytes()
+                before = np.array(sim).tobytes()
                 for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
+                    sim[j] = [a + 0.5 * (b - a) for a, b in zip(best, sim[j])]
+                    fsim[j] = f(np.array(sim[j]))
         nit += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = _argsort(fsim)
+        sim = [sim[i] for i in ind]
+        fsim = [fsim[i] for i in ind]
         idle = 0 if ind[0] else idle + 1
         if idle >= STALL_ITERS:
             break
-        if before is not None and sim.tobytes() == before:
+        if before is not None and np.array(sim).tobytes() == before:
             # Fixed point: every later iteration repeats this one.
             nit = max_iter if ind[0] else min(nit + STALL_ITERS - idle, max_iter)
             break
-    return sim[0], float(np.min(fsim)), nit
+    return np.array(sim[0]), float(np.min(fsim)), nit
 
 
 def random_seed(s: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Root finding, the convergence classifier, and the search objective."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dgeev
@@ -50,8 +52,9 @@ def _sorted_np_roots(p):
     return r[np.lexsort((r.imag, r.real, -np.abs(r)))]
 
 
-def test_find_roots_bit_identical_to_np_roots():
-    # the direct dgeev kernel reproduces np.roots, trailing zeros included
+def _random_polys():
+    """600 random real polynomials of degree 1-12 over six decades, a third
+    of them ending in zeros, plus three that are all zeros past the lead."""
     rng = np.random.default_rng(2024)
     polys = [[3.0, 0.0], [-2.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0, 0.0]]
     for _ in range(600):
@@ -60,10 +63,28 @@ def test_find_roots_bit_identical_to_np_roots():
         if rng.random() < 0.3:
             p[deg + 1 - int(rng.integers(1, deg + 1)):] = 0.0
         polys.append(p)
-    for p in polys:
+    return polys
+
+
+def test_find_roots_bit_identical_to_np_roots():
+    # the dgeev kernel reproduces np.roots, trailing zeros included
+    for p in _random_polys():
         got, want = find_roots(p), _sorted_np_roots(p)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got.real, want.real) and np.array_equal(got.imag, want.imag)
+
+
+def test_kernel_bits_equal_scipy_dgeev():
+    # NumPy's dgeev gufunc against SciPy's dgeev (the kernel before it), on
+    # the companion matrices of the same polynomials; SciPy is an oracle here
+    for p in _random_polys():
+        p = np.asarray(p)
+        comp = np.eye(p.size - 1, k=-1, order="F")
+        comp[0] = -p[1:] / p[0]
+        got = charpoly._eigvals(comp, signature="d->D")
+        wr, wi, _, _, info = dgeev(comp, compute_vl=0, compute_vr=0)
+        assert info == 0
+        assert got.real.tobytes() == wr.tobytes() and got.imag.tobytes() == wi.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -210,18 +231,39 @@ def test_objective_overflow_penalized_before_lapack(monkeypatch):
     # a finite seed whose null vector overflows leaves a non-finite companion
     # row; it scores the penalty and never reaches LAPACK
     rows = []
+    eigvals = charpoly._eigvals
 
     def spy(a, **kw):
         rows.append(a[0].copy())
-        return dgeev(a, **kw)
+        return eigvals(a, **kw)
 
-    monkeypatch.setattr(charpoly, "dgeev", spy)
+    monkeypatch.setattr(charpoly, "_eigvals", spy)
     for k, s in [(2, 2), (3, 3), (4, 4)]:
         f = objective_function(Dimensions(k, s))
         for y in ([1e308] * s, [-1e308] * s, [1e307] * s):
             with np.errstate(over="ignore", invalid="ignore"):
                 assert f(np.array(y)) == PENALTY
     assert all(np.isfinite(r).all() for r in rows)
+    # the spy sits on the path that a finite companion row takes
+    n = len(rows)
+    objective_function(Dimensions(2, 2))(np.array([-5.0, 2.0]))
+    assert len(rows) == n + 1
+
+
+def test_lapack_failure_is_a_silent_typed_error(monkeypatch):
+    # when dgeev does not converge the gufunc fills its output with NaN and
+    # raises NumPy's "invalid value" error; the stub does both
+    def failing(a, *, signature, out):
+        out[...] = np.float64(np.inf) - np.inf
+        return out
+
+    monkeypatch.setattr(charpoly, "_eigvals", failing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            find_roots([1.0, -3.0, 2.0])
+        for k, s in [(2, 2), (4, 4)]:
+            assert objective_function(Dimensions(k, s))(np.ones(s)) == PENALTY
 
 
 def test_objective_floor_thousand_seeds():

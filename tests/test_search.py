@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from fdforge import search
 from fdforge.charpoly import PENALTY, analyze_formula, objective_function
 from fdforge.search import (
     STALL_ITERS,
@@ -40,9 +41,11 @@ def same_bits(a, b):
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
-def nm_without_fixed_point_exit(f, x0, *, tol_x=1e-8, tol_f=1e-10, max_iter=2000):
-    """nelder_mead's loop with the stall exit but without the fixed-point exit:
-    a fixed point is replayed until the stall exit or max_iter ends it."""
+def numpy_nelder_mead(f, x0, *, tol_x=1e-8, tol_f=1e-10, max_iter=2000,
+                      fixed_point_exit=True):
+    """nelder_mead as a NumPy loop, frozen as the reference that the
+    list-based loop must match bit for bit.  Without ``fixed_point_exit`` a
+    fixed point is replayed until the stall exit or max_iter ends it."""
     x0 = np.asarray(x0, dtype=float).ravel()
     n = x0.size
     sim = np.empty((n + 1, n))
@@ -62,6 +65,7 @@ def nm_without_fixed_point_exit(f, x0, *, tol_x=1e-8, tol_f=1e-10, max_iter=2000
         if (np.max(np.abs(sim[1:] - sim[0])) <= tol_x
                 and np.max(np.abs(fsim[0] - fsim[1:])) <= tol_f):
             break
+        before = None
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = 2 * xbar - sim[-1]
         fxr = f(xr)
@@ -86,6 +90,7 @@ def nm_without_fixed_point_exit(f, x0, *, tol_x=1e-8, tol_f=1e-10, max_iter=2000
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:
+                before = sim.tobytes()
                 for j in range(1, n + 1):
                     sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
                     fsim[j] = f(sim[j])
@@ -96,16 +101,32 @@ def nm_without_fixed_point_exit(f, x0, *, tol_x=1e-8, tol_f=1e-10, max_iter=2000
         idle = 0 if ind[0] else idle + 1
         if idle >= STALL_ITERS:
             break
+        if fixed_point_exit and before is not None and sim.tobytes() == before:
+            nit = max_iter if ind[0] else min(nit + STALL_ITERS - idle, max_iter)
+            break
     return sim[0], float(np.min(fsim)), nit
 
 
-class CountingObjective:
+class RecordingObjective:
+    """``f`` that records the bits of every point it is called on."""
+
     def __init__(self, f):
-        self.f, self.calls = f, 0
+        self.f, self.points = f, []
 
     def __call__(self, v):
-        self.calls += 1
+        self.points.append(np.asarray(v, dtype=float).tobytes())
         return self.f(v)
+
+
+def assert_same_polish(f, x0, **kw):
+    """nelder_mead and the frozen NumPy loop evaluate the same points in the
+    same order and return the same x bits, fun and nit."""
+    new, ref = RecordingObjective(f), RecordingObjective(f)
+    x, fun, nit = nelder_mead(new, x0, **kw)
+    rx, rfun, rnit = numpy_nelder_mead(ref, x0, **kw)
+    assert same_bits(x, rx) and same_bits(fun, rfun) and nit == rnit, x0
+    assert new.points == ref.points, x0
+    return len(new.points)
 
 
 # Start points of polishes in the (4,4) reference search (runs 4, restarts
@@ -193,12 +214,12 @@ def test_nm_fixed_point_exit_returns_the_replayed_result(start):
     # exit, and still returns that exit's (x, fun, nit).
     obj = objective_function(Dimensions(4, 4))
     y0 = np.array([float.fromhex(h) for h in start])
-    new, ref = CountingObjective(obj), CountingObjective(obj)
+    new, ref = RecordingObjective(obj), RecordingObjective(obj)
     x, f, nit = nelder_mead(new, y0)
-    rx, rf, rnit = nm_without_fixed_point_exit(ref, y0)
+    rx, rf, rnit = numpy_nelder_mead(ref, y0, fixed_point_exit=False)
     assert same_bits(x, rx) and f == rf and nit == rnit
     assert nit < 2000
-    assert new.calls < ref.calls
+    assert len(new.points) < len(ref.points)
 
 
 def test_nm_fixed_point_exit_below_the_stall_horizon_returns_max_iter():
@@ -207,12 +228,12 @@ def test_nm_fixed_point_exit_below_the_stall_horizon_returns_max_iter():
     # replay first.
     obj = objective_function(Dimensions(4, 4))
     y0 = np.array([float.fromhex(h) for h in FIXED_POINT_STARTS[1]])
-    new, ref = CountingObjective(obj), CountingObjective(obj)
+    new, ref = RecordingObjective(obj), RecordingObjective(obj)
     x, f, nit = nelder_mead(new, y0, max_iter=240)
-    rx, rf, rnit = nm_without_fixed_point_exit(ref, y0, max_iter=240)
+    rx, rf, rnit = numpy_nelder_mead(ref, y0, max_iter=240, fixed_point_exit=False)
     assert same_bits(x, rx) and f == rf
     assert nit == rnit == 240
-    assert new.calls < ref.calls
+    assert len(new.points) < len(ref.points)
 
 
 def test_nm_fixed_point_exit_compares_bits_not_values():
@@ -220,12 +241,62 @@ def test_nm_fixed_point_exit_compares_bits_not_values():
     # shrink leaves NaN coordinates, which float == never matches.
     obj = objective_function(Dimensions(2, 2))
     y0 = np.array([np.inf, 0.5])
-    new, ref = CountingObjective(obj), CountingObjective(obj)
+    new, ref = RecordingObjective(obj), RecordingObjective(obj)
     with np.errstate(invalid="ignore"):
         x, f, nit = nelder_mead(new, y0)
-        rx, rf, rnit = nm_without_fixed_point_exit(ref, y0)
+        rx, rf, rnit = numpy_nelder_mead(ref, y0, fixed_point_exit=False)
     assert same_bits(x, rx) and f == rf == PENALTY and nit == rnit
-    assert new.calls < ref.calls
+    assert len(new.points) < len(ref.points)
+
+
+def plateau(v):
+    # three levels, so most simplices hold tied values
+    return float(np.floor(2 * np.abs(v).sum()) % 3)
+
+
+def nan_stripes(v):
+    # NaN on every other stripe of width 1/4 across the coordinate sum, which
+    # is half the domain, and a bowl on the rest: simplices straddle stripes
+    if int(np.floor(4 * np.sum(v))) % 2:
+        return float("nan")
+    return float(np.sum((v - 0.2) ** 2))
+
+
+def test_nm_matches_the_numpy_loop_on_the_discover_44_polishes(monkeypatch):
+    # the 34 polishes of the benchmark's discover-44 search (outer runs 0-3
+    # of the (4,4) reference stream), replayed on the objective they ran on
+    polishes = []
+
+    def record(f, x0, **kw):
+        polishes.append((f, np.array(x0), kw))
+        return nelder_mead(f, x0, **kw)
+
+    monkeypatch.setattr(search, "nelder_mead", record)
+    discover(SearchConfig(dims=Dimensions(4, 4), runs=4, restarts=10, rng_seed=0))
+    monkeypatch.undo()
+    assert len(polishes) == 34
+    for f, x0, kw in polishes:
+        assert_same_polish(f, x0, **kw)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_nm_matches_the_numpy_loop_on_ties_and_nan(n):
+    # tied values take np.argsort's order, which on some builds is not a
+    # stable sort's; NaN values sort last there
+    rng = np.random.default_rng(n)
+    obj = objective_function(Dimensions(n, n))
+    for i in range(12):
+        y0 = rng.standard_normal(n)
+        assert_same_polish(plateau, y0, max_iter=300)
+        assert_same_polish(nan_stripes, y0, max_iter=300)
+        if i < 2:
+            assert_same_polish(obj, y0)
+
+
+def test_nm_matches_the_numpy_loop_from_a_non_finite_start():
+    obj = objective_function(Dimensions(2, 2))
+    with np.errstate(invalid="ignore"):
+        assert_same_polish(obj, np.array([np.inf, 0.5]))
 
 
 # ------------------------------------------------------------- random seeds
@@ -431,20 +502,25 @@ def test_discover_outer_runs_independent_of_run_count():
     assert len(full.candidates) > len(head)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # the search runs its own Nelder-Mead; importing SciPy's optimizer
-    # would cost set-up time and memory on every command
+def test_runtime_loads_no_scipy():
+    # NumPy's LAPACK finds the roots and the search runs its own Nelder-Mead:
+    # SciPy is a test oracle only, and loading any of it would cost set-up
+    # time and memory on every command
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    commands = [["analyze", "--poly", "2,-3,2,-1"],
+                ["discover", "--k", "3", "--s", "3", "--runs", "1", "--restarts", "1"],
+                ["validate-known"]]
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, fdforge, fdforge.cli; "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"],
+         "import sys, fdforge, fdforge.cli\n"
+         f"codes = [fdforge.cli.main(argv) for argv in {commands!r}]\n"
+         "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
 def test_discover_candidates_audit_clean():
