@@ -34,15 +34,20 @@ basins.
 Reproducibility: every outer run owns a child of one ``SeedSequence``, so
 results are a pure function of the rng seed, and an outer run's outcome
 depends on its own child only: the first R runs of a longer session find
-exactly what a session of R runs finds.  Outer runs execute one after
-another in a single thread (a thread pool was measured slower: the loop
-holds the GIL); aggregation happens in (outer, inner) order and candidate
-lists are deduplicated by polynomial coefficients.
+exactly what a session of R runs finds.  So the outer runs are shared out
+over worker processes forked from the caller, one per usable CPU (at most
+one per run), and their outcomes are aggregated in (outer, inner) order
+as if they had run one after another: the number of workers changes no
+result.  Processes, not threads: the loop holds the GIL, and a thread pool
+was measured slower than one thread.  Candidate lists are deduplicated by
+polynomial coefficients.
 """
 
 from __future__ import annotations
 
 import operator
+import os
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -87,14 +92,16 @@ class SearchConfig:
     penalty: float = PENALTY
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        for name in ("runs", "restarts", "nm_max_iter"):
+            value = getattr(self, name)
+            try:
+                if operator.index(value) >= 1:  # NumPy integers pass too
+                    continue
+            except TypeError:
+                pass
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.nm_tol_x <= 0 or self.nm_tol_f <= 0:
             raise ValueError("Nelder-Mead tolerances must be positive")
-        if self.nm_max_iter < 1:
-            raise ValueError("nm_max_iter must be >= 1")
         if self.perturb_scale <= 0:
             raise ValueError("perturb_scale must be positive")
 
@@ -410,6 +417,24 @@ def _run_outer(
     return found, attempts, plateau
 
 
+def _run_job(job: tuple):
+    """``_run_outer(*job)``: ``Pool.imap`` hands its function one argument."""
+    return _run_outer(*job)
+
+
+def _worker_count(runs: int) -> int:
+    """Number of processes for ``runs`` outer runs: one per CPU this process
+    may run on, at most one per run.  One, so no fork, where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, and in a daemonic multiprocessing
+    worker, which may not have children."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    mp = sys.modules.get("multiprocessing")  # a daemonic caller imported it
+    if mp is not None and mp.current_process().daemon:
+        return 1
+    return min(runs, len(os.sched_getaffinity(0)))
+
+
 def discover(
     config: SearchConfig,
     *,
@@ -423,6 +448,15 @@ def discover(
     for a fixed config, and outer run i finds the same formulas whatever
     ``runs`` is, as long as it is > i.  A start point that is not s finite
     numbers raises ValueError.
+
+    The outer runs are shared out over ``min(runs, usable CPUs)`` processes
+    forked from the caller, which take the next run as they finish one;
+    ``taskset -c 0`` makes it one, and one runs them in this process
+    without importing ``multiprocessing``.  The workers are reaped before
+    this returns, so no process outlives the call and their CPU time shows
+    in ``resource.getrusage(RUSAGE_CHILDREN)``.  Code patched into this
+    process before the call also runs in the workers, but what it records
+    there stays there.
     """
     init = None if initial_seed is None else np.asarray(initial_seed, dtype=float)
     if init is not None and init.shape != (config.dims.s,):
@@ -433,10 +467,19 @@ def discover(
         raise ValueError(f"initial seed must be finite, got {init.tolist()}")
 
     children = np.random.SeedSequence(config.rng_seed).spawn(config.runs)
-    outcomes = [
-        _run_outer(config, i, children[i], init if i == 0 else None)
-        for i in range(config.runs)
-    ]
+    jobs = [(config, i, ss, init if i == 0 else None) for i, ss in enumerate(children)]
+    workers = _worker_count(config.runs)
+    if workers == 1:
+        outcomes = map(_run_job, jobs)
+    else:
+        import multiprocessing
+
+        # Fork: the workers are direct children, reaped by join(), and start
+        # with this process's modules loaded (spawn would import NumPy anew).
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            outcomes = list(pool.imap(_run_job, jobs, chunksize=1))
+            pool.close()
+            pool.join()
 
     candidates: list[Candidate] = []
     attempts = 0

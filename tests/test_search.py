@@ -1,9 +1,11 @@
 """Nelder-Mead, randomized helpers, and the discovery double loop."""
 
+import multiprocessing
 import os
+import resource
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +274,7 @@ def test_nm_matches_the_numpy_loop_on_the_discover_44_polishes(monkeypatch):
         return nelder_mead(f, x0, **kw)
 
     monkeypatch.setattr(search, "nelder_mead", record)
+    monkeypatch.setattr(search, "_worker_count", lambda runs: 1)  # record here
     discover(SearchConfig(dims=Dimensions(4, 4), runs=4, restarts=10, rng_seed=0))
     monkeypatch.undo()
     assert len(polishes) == 34
@@ -365,6 +368,12 @@ def test_config_validation():
         SearchConfig(dims=d, runs=1, restarts=1, nm_max_iter=0)
     with pytest.raises(ValueError):
         SearchConfig(dims=d, runs=1, restarts=1, perturb_scale=0.0)
+    # counts are integers: NumPy integers pass, floats and strings do not
+    SearchConfig(dims=d, runs=np.int64(2), restarts=np.int32(1), nm_max_iter=np.uint8(9))
+    for bad in ({"runs": 2.5}, {"runs": 2.0}, {"restarts": 1.5}, {"nm_max_iter": 10.5},
+                {"runs": "2"}, {"restarts": None}):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            SearchConfig(dims=d, **{"runs": 1, "restarts": 1, **bad})
 
 
 # ----------------------------------------------------------------- discover
@@ -505,7 +514,8 @@ def test_discover_outer_runs_independent_of_run_count():
 def test_runtime_loads_no_scipy():
     # NumPy's LAPACK finds the roots and the search runs its own Nelder-Mead:
     # SciPy is a test oracle only, and loading any of it would cost set-up
-    # time and memory on every command
+    # time and memory on every command.  A single outer run runs in the
+    # calling process, so discover --runs 1 does not import multiprocessing.
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -516,11 +526,12 @@ def test_runtime_loads_no_scipy():
         [sys.executable, "-c",
          "import sys, fdforge, fdforge.cli\n"
          f"codes = [fdforge.cli.main(argv) for argv in {commands!r}]\n"
-         "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+         "      'multiprocessing' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] [] False"
 
 
 def test_discover_candidates_audit_clean():
@@ -561,3 +572,69 @@ def test_discover_pairwise_distinct_candidates():
     for i in range(len(ps)):
         for j in range(i + 1, len(ps)):
             assert np.abs(ps[i] - ps[j]).max() > 1e-8
+
+
+# ---------------------------------------------------------- worker processes
+
+
+def bits(obj):
+    """``obj`` with every float replaced by its hex form, so that equal
+    values compare equal only when their bits are equal."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, complex):
+        return obj.real.hex(), obj.imag.hex()
+    if isinstance(obj, (tuple, list)):
+        return tuple(bits(v) for v in obj)
+    if is_dataclass(obj):
+        return type(obj).__name__, tuple(bits(getattr(obj, f.name)) for f in fields(obj))
+    return obj
+
+
+def single_entry_dims():
+    with pytest.warns(UserWarning):  # s < k
+        return Dimensions(2, 1)
+
+
+@pytest.mark.parametrize("dims, runs, init", [
+    (Dimensions(4, 4), 4, None),
+    (Dimensions(3, 3), 6, None),
+    (single_entry_dims(), 3, None),  # s = 1: Nelder-Mead does not run
+    (Dimensions(2, 2), 3, [-5.0, 2.0]),
+], ids=["4-4", "3-3", "2-1", "initial-seed"])
+def test_discover_results_do_not_depend_on_the_worker_count(monkeypatch, dims, runs, init):
+    cfg = SearchConfig(dims=dims, runs=runs, restarts=10, rng_seed=0)
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(search, "_worker_count", lambda runs: workers)
+        results.append(discover(cfg, initial_seed=init))
+    one, two = results
+    assert bits(one) == bits(two)
+
+
+def test_discover_reaps_its_workers_and_their_cpu_is_counted(monkeypatch):
+    monkeypatch.setattr(search, "_worker_count", lambda runs: 2)
+
+    def child_cpu():
+        ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+        return ru.ru_utime + ru.ru_stime
+
+    before = child_cpu()
+    # outer runs 0 and 1 of the (4,4) reference stream polish for ~10,000
+    # objective calls each
+    discover(SearchConfig(dims=Dimensions(4, 4), runs=2, restarts=10, rng_seed=0))
+    assert multiprocessing.active_children() == []
+    assert child_cpu() > before
+
+
+def test_worker_count_is_one_per_usable_cpu_and_one_in_a_daemon():
+    cpus = len(os.sched_getaffinity(0))
+    assert search._worker_count(1) == 1
+    assert search._worker_count(1000) == cpus
+    assert search._worker_count(2) == min(2, cpus)
+    # a pool worker is daemonic and may not fork children of its own
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(search._worker_count, (1000,)).get(timeout=60) == 1
+        pool.close()
+        pool.join()
+    assert multiprocessing.active_children() == []
