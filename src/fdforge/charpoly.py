@@ -30,6 +30,7 @@ outcome into a large penalty so the optimizer sees a total function.
 from __future__ import annotations
 
 import contextvars
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -150,39 +151,26 @@ def find_roots(p) -> np.ndarray:
     return r[order]
 
 
-def analyze(
-    p,
-    *,
-    circle_tol: float = CIRCLE_TOL,
-    accept_tol: float = ACCEPT_TOL,
-    cluster_tol: float = CLUSTER_TOL,
-) -> RootReport:
+def analyze(p) -> RootReport:
     """Classify the root condition of the polynomial ``p``.
 
     max_deviation is max|root| - 1 (signed: negative means strictly inside
     the disk).  second_magnitude is |roots[1]| of the descending-magnitude
     sort, so a repeated dominant root counts with multiplicity; for a
     degree-1 polynomial it is 0.  on_circle lists the indices of roots with
-    ||z| - 1| <= circle_tol, and convergence requires the max magnitude
-    below 1 + accept_tol with no two circle roots within cluster_tol of
+    ||z| - 1| <= CIRCLE_TOL, and convergence requires the max magnitude
+    below 1 + ACCEPT_TOL with no two circle roots within CLUSTER_TOL of
     each other.
     """
     roots = find_roots(p)
     mags = np.abs(roots)
     max_mag = float(mags[0])
     second = float(mags[1]) if roots.size > 1 else 0.0
-    on_circle = tuple(int(i) for i in np.flatnonzero(np.abs(mags - 1.0) <= circle_tol))
-
-    convergent = max_mag <= 1.0 + accept_tol
-    if convergent:
-        circ = roots[list(on_circle)]
-        for i in range(len(circ)):
-            for j in range(i + 1, len(circ)):
-                if abs(circ[i] - circ[j]) <= cluster_tol:
-                    convergent = False
-                    break
-            if not convergent:
-                break
+    on_circle = tuple(int(i) for i in np.flatnonzero(np.abs(mags - 1.0) <= CIRCLE_TOL))
+    convergent = max_mag <= 1.0 + ACCEPT_TOL and not any(
+        abs(a - b) <= CLUSTER_TOL
+        for a, b in itertools.combinations(roots[list(on_circle)], 2)
+    )
 
     return RootReport(
         roots=tuple(roots),
@@ -194,9 +182,9 @@ def analyze(
     )
 
 
-def analyze_formula(formula: DifferenceFormula, **kw) -> RootReport:
+def analyze_formula(formula: DifferenceFormula) -> RootReport:
     """Root report of a formula's characteristic polynomial."""
-    return analyze([float(v) for v in formula.p], **kw)
+    return analyze([float(v) for v in formula.p])
 
 
 def objective_function(

@@ -38,12 +38,7 @@ from typing import Optional, Sequence
 
 from .charpoly import analyze
 from .search import SearchConfig, discover
-from .taylor_system import (
-    DifferenceFormula,
-    Dimensions,
-    NonNormalizableSeedError,
-    seed_to_formula,
-)
+from .taylor_system import DifferenceFormula, Dimensions, seed_to_formula
 from .validation import catalog, empirical_order, validate_catalog
 
 __all__ = ["main", "build_parser", "TpolyRecord", "rationalize"]
@@ -68,12 +63,20 @@ def _join_value_flags(argv: list) -> list:
     return out
 
 
-def _parse_vector(text: str) -> list:
-    """Comma-separated numbers -> exact Fractions ("1.5" and "3/2" both work)."""
+def _fraction(text: str) -> Fraction:
+    """argparse type: one exact number ("1.5" and "3/2" both work)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _vector(text: str) -> list:
+    """argparse type: comma-separated numbers -> exact Fractions."""
     toks = [t for t in (s.strip() for s in text.split(",")) if t]
     if not toks:
-        raise ValueError("empty vector")
-    return [Fraction(t) for t in toks]
+        raise argparse.ArgumentTypeError("empty vector")
+    return [_fraction(t) for t in toks]
 
 
 def rationalize(x: float, tol: float = 1e-6) -> Fraction:
@@ -173,6 +176,16 @@ def _dims(parser: argparse.ArgumentParser, args) -> Dimensions:
         parser.error(str(exc))
 
 
+def _seed_formula(parser: argparse.ArgumentParser, args):
+    """(dims, exact formula) of ``--seed`` under ``--k``/``--s``."""
+    if args.k is None or args.s is None:
+        parser.error("--seed requires --k and --s")
+    dims = _dims(parser, args)
+    if len(args.seed) != dims.s:
+        parser.error(f"--seed has {len(args.seed)} entries, expected s = {dims.s}")
+    return dims, seed_to_formula(dims, args.seed, exact=True)
+
+
 def _exact_twin(
     cand_seed: tuple, dims: Dimensions, init: Optional[list]
 ) -> Optional[DifferenceFormula]:
@@ -194,16 +207,9 @@ def _exact_twin(
 
 def cmd_discover(args, parser: argparse.ArgumentParser) -> int:
     dims = _dims(parser, args)
-    init_fracs = None
-    if args.init_seed is not None:
-        try:
-            init_fracs = _parse_vector(args.init_seed)
-        except (ValueError, ZeroDivisionError) as exc:
-            parser.error(f"--init-seed: {exc}")
-        if len(init_fracs) != dims.s:
-            parser.error(
-                f"--init-seed has {len(init_fracs)} entries, expected s = {dims.s}"
-            )
+    init_fracs = args.init_seed
+    if init_fracs is not None and len(init_fracs) != dims.s:
+        parser.error(f"--init-seed has {len(init_fracs)} entries, expected s = {dims.s}")
     try:
         config = SearchConfig(
             dims=dims,
@@ -277,33 +283,17 @@ def _print_report(p_floats, out):
 
 def cmd_analyze(args, parser: argparse.ArgumentParser) -> int:
     out = sys.stdout
-    if args.poly is not None:
-        try:
-            coeffs = _parse_vector(args.poly)
-        except (ValueError, ZeroDivisionError) as exc:
-            parser.error(f"--poly: {exc}")
+    coeffs = args.poly
+    if coeffs is not None:
         if coeffs[0] == 0:
             parser.error("--poly: leading coefficient must be nonzero")
         print("polynomial:", " ".join(str(v) for v in coeffs), file=out)
         _print_report([float(v) for v in coeffs], out)
         return 0
 
-    if args.k is None or args.s is None:
-        parser.error("--seed requires --k and --s")
-    dims = _dims(parser, args)
-    try:
-        y = _parse_vector(args.seed)
-    except (ValueError, ZeroDivisionError) as exc:
-        parser.error(f"--seed: {exc}")
-    if len(y) != dims.s:
-        parser.error(f"--seed has {len(y)} entries, expected s = {dims.s}")
-    try:
-        exact = seed_to_formula(dims, y, exact=True)
-    except NonNormalizableSeedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _, exact = _seed_formula(parser, args)
     flt = exact.as_float()
-    print("seed:", " ".join(str(v) for v in y), file=out)
+    print("seed:", " ".join(str(v) for v in args.seed), file=out)
     print("p (float):   ", " ".join(f"{v:.4f}" for v in flt.p), file=out)
     print("p (exact):   ", " ".join(str(v) for v in exact.p), file=out)
     print(f"c (float):    {float(exact.c):.4f}", file=out)
@@ -334,32 +324,21 @@ def cmd_validate_known(args, parser: argparse.ArgumentParser) -> int:
 
 def cmd_order_check(args, parser: argparse.ArgumentParser) -> int:
     checks = []
-    if args.poly is not None:
+    if args.claimed is not None and args.claimed < 2:
+        parser.error(f"--claimed must be >= 2, got {args.claimed}")
+    coeffs = args.poly
+    if coeffs is not None:
         if args.c is None or args.claimed is None:
             parser.error("--poly needs --c and --claimed")
-        try:
-            coeffs = _parse_vector(args.poly)
-            c = Fraction(args.c)
-        except (ValueError, ZeroDivisionError) as exc:
-            parser.error(str(exc))
         if coeffs[0] == 0:
             parser.error("--poly: leading coefficient must be nonzero")
         # --c is the tau*dx weight on the same scale as --poly, so both are
         # normalized by the leading coefficient together.
         p = tuple(v / coeffs[0] for v in coeffs)
-        formula = DifferenceFormula(None, p, c / coeffs[0])
+        formula = DifferenceFormula(None, p, args.c / coeffs[0])
         checks.append(("custom", formula, args.claimed))
     elif args.seed is not None:
-        if args.k is None or args.s is None:
-            parser.error("--seed requires --k and --s")
-        dims = _dims(parser, args)
-        try:
-            y = _parse_vector(args.seed)
-        except (ValueError, ZeroDivisionError) as exc:
-            parser.error(f"--seed: {exc}")
-        if len(y) != dims.s:
-            parser.error(f"--seed has {len(y)} entries, expected s = {dims.s}")
-        formula = seed_to_formula(dims, y, exact=True)
+        dims, formula = _seed_formula(parser, args)
         claimed = args.claimed if args.claimed is not None else dims.order
         checks.append((f"seed(k={dims.k},s={dims.s})", formula, claimed))
     else:
@@ -419,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--runs", type=int, default=20, help="outer-loop runs")
     d.add_argument("--restarts", type=int, default=10, help="inner restarts per run")
     d.add_argument("--rng-seed", type=int, default=0, help="reproducibility seed")
-    d.add_argument("--init-seed", help="comma-separated start seed for the first run")
+    d.add_argument("--init-seed", type=_vector,
+                   help="comma-separated start seed for the first run")
     d.add_argument("--perturb-scale", type=float, default=0.1)
     d.add_argument("--rational", action="store_true", help="exact-arithmetic output")
     d.add_argument("--format", choices=("table", "json", "csv"), default="table")
@@ -428,11 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="root report for a polynomial or a seed")
     g = a.add_mutually_exclusive_group(required=True)
-    g.add_argument("--poly", help="comma-separated polynomial, highest power first")
-    g.add_argument("--seed", help="comma-separated seed (requires --k/--s)")
-    a.add_argument("--k", type=int)
-    a.add_argument("--s", type=int)
-    a.add_argument("--allow-large-k", action="store_true")
+    g.add_argument("--poly", type=_vector,
+                   help="comma-separated polynomial, highest power first")
+    g.add_argument("--seed", type=_vector, help="comma-separated seed (requires --k/--s)")
+    add_dims(a, required=False)
     a.set_defaults(func=cmd_analyze)
 
     v = sub.add_parser("validate-known", help="check the built-in formula catalog")
@@ -445,13 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_validate_known)
 
     o = sub.add_parser("order-check", help="empirical truncation-order measurement")
-    o.add_argument("--poly", help="comma-separated polynomial, highest power first")
-    o.add_argument("--c", help="derivative weight for --poly")
+    o.add_argument("--poly", type=_vector,
+                   help="comma-separated polynomial, highest power first")
+    o.add_argument("--c", type=_fraction, help="derivative weight for --poly")
     o.add_argument("--claimed", type=int, help="claimed truncation order")
-    o.add_argument("--seed", help="comma-separated seed (requires --k/--s)")
-    o.add_argument("--k", type=int)
-    o.add_argument("--s", type=int)
-    o.add_argument("--allow-large-k", action="store_true")
+    o.add_argument("--seed", type=_vector, help="comma-separated seed (requires --k/--s)")
+    add_dims(o, required=False)
     o.add_argument("--json", action="store_true")
     o.set_defaults(func=cmd_order_check)
 

@@ -45,6 +45,8 @@ polynomial coefficients.
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 import os
 import sys
@@ -59,6 +61,8 @@ from .taylor_system import DifferenceFormula, Dimensions, echelon_block, seed_to
 __all__ = [
     "DEDUP_TOL",
     "STALL_ITERS",
+    "NM_TOL_X",
+    "NM_TOL_F",
     "SearchConfig",
     "Candidate",
     "SearchResult",
@@ -76,17 +80,22 @@ DEDUP_TOL = 1e-8
 # consecutive iterations (see nelder_mead).
 STALL_ITERS = 200
 
+# Nelder-Mead has converged once its simplex spans at most NM_TOL_X in every
+# coordinate and at most NM_TOL_F in value.
+NM_TOL_X = 1e-8
+NM_TOL_F = 1e-10
+
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of one discovery session."""
+    """One discovery session: its dimensions, outer runs and inner restarts
+    per run, rng seed, Nelder-Mead iteration cap, perturbation scale (relative
+    to the largest seed entry) and the objective's penalty value."""
 
     dims: Dimensions
     runs: int = 100
     restarts: int = 10
     rng_seed: int = 0
-    nm_tol_x: float = 1e-8
-    nm_tol_f: float = 1e-10
     nm_max_iter: int = 2000
     perturb_scale: float = 0.1
     penalty: float = PENALTY
@@ -100,10 +109,8 @@ class SearchConfig:
             except TypeError:
                 pass
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if self.nm_tol_x <= 0 or self.nm_tol_f <= 0:
-            raise ValueError("Nelder-Mead tolerances must be positive")
-        if self.perturb_scale <= 0:
-            raise ValueError("perturb_scale must be positive")
+        if not 0 < self.perturb_scale < math.inf:  # NaN fails too
+            raise ValueError(f"perturb_scale must be positive and finite: {self.perturb_scale}")
 
 
 @dataclass(frozen=True)
@@ -147,23 +154,16 @@ def _argsort(fsim: list) -> list:
     return np.argsort(fsim).tolist()
 
 
-def nelder_mead(
-    f,
-    x0: np.ndarray,
-    *,
-    tol_x: float = 1e-8,
-    tol_f: float = 1e-10,
-    max_iter: int = 2000,
-):
+def nelder_mead(f, x0: np.ndarray, *, max_iter: int = 2000):
     """Minimize ``f`` from ``x0`` with Nelder-Mead; returns (x, fun, nit).
 
     Standard simplex coefficients (reflection 1, expansion 2, contraction
     0.5, shrink 0.5), initial simplex displacing each coordinate by 5%
     (0.00025 when the coordinate is zero), termination when the simplex
-    collapses below tol_x in x AND tol_f in f, or after max_iter
+    collapses below NM_TOL_X in x AND NM_TOL_F in f, or after max_iter
     iterations.  These are the steps of SciPy's
-    ``minimize(method="Nelder-Mead", adaptive=False)`` with ``xatol=tol_x``,
-    ``fatol=tol_f`` and ``maxiter=max_iter``, taken in the same order on
+    ``minimize(method="Nelder-Mead", adaptive=False)`` with ``xatol=NM_TOL_X``,
+    ``fatol=NM_TOL_F`` and ``maxiter=max_iter``, taken in the same order on
     the same floats, with ``nit`` counted the same way and ``f`` called
     once per point, on a float array of x0's size.
 
@@ -227,8 +227,8 @@ def nelder_mead(
     idle = 0
     while nit < max_iter:
         best, fbest = sim[0], fsim[0]
-        if (all(abs(fbest - v) <= tol_f for v in fsim[1:])
-                and all(abs(a - b) <= tol_x for row in sim[1:] for a, b in zip(row, best))):
+        if (all(abs(fbest - v) <= NM_TOL_F for v in fsim[1:])
+                and all(abs(a - b) <= NM_TOL_X for row in sim[1:] for a, b in zip(row, best))):
             break
         before = None
         xbar = sim[0]
@@ -306,8 +306,7 @@ def perturb(y: np.ndarray, rng: np.random.Generator, scale: float) -> np.ndarray
 
 
 def _same_formula(p_a: Sequence[float], p_b: Sequence[float]) -> bool:
-    if len(p_a) != len(p_b):
-        return False
+    # The polynomials of one search all have the same length.
     return all(abs(a - b) <= DEDUP_TOL for a, b in zip(p_a, p_b))
 
 
@@ -375,10 +374,7 @@ def _run_outer(
         cand = classify(y0, x, fx, nit, inner_index)
         # At s = 1 the plane is one point: every nonzero seed is one formula.
         if cand is None and plane.shape[1]:
-            z, fx, nit = nelder_mead(
-                g, onto_plane(y0), tol_x=cfg.nm_tol_x, tol_f=cfg.nm_tol_f,
-                max_iter=cfg.nm_max_iter,
-            )
+            z, fx, nit = nelder_mead(g, onto_plane(y0), max_iter=cfg.nm_max_iter)
             x = lift(z)
             cand = classify(y0, x, fx, nit, inner_index)
         return fx, x, cand
@@ -415,11 +411,6 @@ def _run_outer(
 
     plateau = None if found else best_f
     return found, attempts, plateau
-
-
-def _run_job(job: tuple):
-    """``_run_outer(*job)``: ``Pool.imap`` hands its function one argument."""
-    return _run_outer(*job)
 
 
 def _worker_count(runs: int) -> int:
@@ -470,14 +461,14 @@ def discover(
     jobs = [(config, i, ss, init if i == 0 else None) for i, ss in enumerate(children)]
     workers = _worker_count(config.runs)
     if workers == 1:
-        outcomes = map(_run_job, jobs)
+        outcomes = itertools.starmap(_run_outer, jobs)
     else:
         import multiprocessing
 
         # Fork: the workers are direct children, reaped by join(), and start
         # with this process's modules loaded (spawn would import NumPy anew).
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            outcomes = list(pool.imap(_run_job, jobs, chunksize=1))
+            outcomes = pool.starmap(_run_outer, jobs, chunksize=1)
             pool.close()
             pool.join()
 

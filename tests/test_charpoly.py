@@ -190,10 +190,13 @@ def test_conjugate_circle_pair_is_not_repeated():
 
 
 def test_nearby_circle_cluster_rejected():
-    # two separate roots on the circle within cluster_tol count as repeated
-    z = np.exp(1j * 0.3)
-    p = np.real(np.poly([z, z * np.exp(1j * 2e-7), np.conj(z), np.conj(z * np.exp(1j * 2e-7))]))
-    rep = analyze(p, circle_tol=1e-6)
+    # roots exp(+-2e-7 i): both on the circle to the last bits, so the
+    # magnitude rule accepts them, but 4e-7 apart, within CLUSTER_TOL, so
+    # they count as a repeated root
+    rep = analyze([1.0, -2 * np.cos(2e-7), 1.0])
+    assert abs(rep.max_deviation) <= 1e-15
+    assert rep.on_circle == (0, 1)
+    assert abs(rep.roots[0] - rep.roots[1]) <= charpoly.CLUSTER_TOL
     assert not rep.convergent
 
 

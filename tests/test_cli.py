@@ -250,6 +250,36 @@ def test_no_subcommand_is_an_error():
     assert run_cli().returncode == 2
 
 
+_VECTOR_FLAG_ARGV = {
+    "--init-seed": ("discover", "--k", "2", "--s", "2", "--init-seed"),
+    "--poly": ("analyze", "--poly"),
+    "--seed": ("analyze", "--k", "2", "--s", "2", "--seed"),
+    "--c": ("order-check", "--poly", "1,0,-1", "--claimed", "2", "--c"),
+}
+
+
+@pytest.mark.parametrize("bad", ["1,x", "1/0", ","])
+@pytest.mark.parametrize("flag", sorted(_VECTOR_FLAG_ARGV))
+def test_malformed_number_is_a_usage_error_naming_the_flag(flag, bad, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*_VECTOR_FLAG_ARGV[flag], bad])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("order-check", "--poly=1,0,-1", "--c", "2", "--claimed", "1"), "--claimed"),
+    (("order-check", "--seed=-5,2", "--k", "2", "--s", "2", "--claimed", "1"), "--claimed"),
+    (("discover", "--k", "2", "--s", "2", "--perturb-scale", "nan"), "perturb_scale"),
+    (("discover", "--k", "2", "--s", "2", "--perturb-scale", "inf"), "perturb_scale"),
+])
+def test_out_of_range_value_is_a_usage_error(argv, name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert name in capsys.readouterr().err
+
+
 def test_main_reuses_one_parser_and_prints_what_a_fresh_process_prints(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the same width in both
     build_parser = cli.build_parser

@@ -361,13 +361,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(dims=d, runs=1, restarts=0)
     with pytest.raises(ValueError):
-        SearchConfig(dims=d, runs=1, restarts=1, nm_tol_x=0.0)
-    with pytest.raises(ValueError):
-        SearchConfig(dims=d, runs=1, restarts=1, nm_tol_f=-1e-9)
-    with pytest.raises(ValueError):
         SearchConfig(dims=d, runs=1, restarts=1, nm_max_iter=0)
     with pytest.raises(ValueError):
         SearchConfig(dims=d, runs=1, restarts=1, perturb_scale=0.0)
+    for bad in (float("nan"), float("inf")):  # nan <= 0 is False
+        with pytest.raises(ValueError, match="perturb_scale"):
+            SearchConfig(dims=d, runs=1, restarts=1, perturb_scale=bad)
     # counts are integers: NumPy integers pass, floats and strings do not
     SearchConfig(dims=d, runs=np.int64(2), restarts=np.int32(1), nm_max_iter=np.uint8(9))
     for bad in ({"runs": 2.5}, {"runs": 2.0}, {"restarts": 1.5}, {"nm_max_iter": 10.5},
