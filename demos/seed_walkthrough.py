@@ -17,7 +17,7 @@ print(f"formula degree {dims.degree}, truncation order {dims.order}")
 
 A = build_taylor_matrix(dims)
 print("\nTaylor matrix rows (exact):")
-for row in A.rows:
+for row in A:
     print("  ", "  ".join(str(v) for v in row))
 
 block = echelon_block(dims)

@@ -9,7 +9,6 @@ truncation-order measurement and recurrence simulation.
 
 from .taylor_system import (
     Dimensions,
-    TaylorMatrix,
     EchelonBlock,
     DifferenceFormula,
     RankDeficientError,
@@ -18,8 +17,6 @@ from .taylor_system import (
     build_taylor_matrix,
     reduce_to_echelon,
     echelon_block,
-    seed_to_nullvector,
-    nullvector_to_formula,
     seed_to_formula,
 )
 from .charpoly import (
@@ -58,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dimensions",
-    "TaylorMatrix",
     "EchelonBlock",
     "DifferenceFormula",
     "RankDeficientError",
@@ -67,8 +63,6 @@ __all__ = [
     "build_taylor_matrix",
     "reduce_to_echelon",
     "echelon_block",
-    "seed_to_nullvector",
-    "nullvector_to_formula",
     "seed_to_formula",
     "RootReport",
     "DegenerateInputError",

@@ -32,16 +32,15 @@ import functools
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .charpoly import analyze
-from .search import SearchConfig, discover
+from .search import Candidate, SearchConfig, discover
 from .taylor_system import DifferenceFormula, Dimensions, seed_to_formula
 from .validation import catalog, empirical_order, validate_catalog
 
-__all__ = ["main", "build_parser", "TpolyRecord", "rationalize"]
+__all__ = ["main", "build_parser", "rationalize"]
 
 # Flags whose values are comma-separated vectors (or signed scalars) and may
 # start with "-"; they get joined into --flag=value form so the parser never
@@ -79,6 +78,16 @@ def _vector(text: str) -> list:
     return [_fraction(t) for t in toks]
 
 
+def _float_vector(text: str) -> list:
+    """argparse type: a ``_vector`` whose entries are also used as floats."""
+    vec = _vector(text)
+    try:
+        list(map(float, vec))
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"too large for a float: {text}") from None
+    return vec
+
+
 def rationalize(x: float, tol: float = 1e-6) -> Fraction:
     """Shortest continued-fraction convergent of ``x`` within ``tol``.
 
@@ -107,66 +116,40 @@ def rationalize(x: float, tol: float = 1e-6) -> Fraction:
     return conv
 
 
-@dataclass(frozen=True)
-class TpolyRecord:
-    """One result row in the TPOLY field order."""
-
-    k: int
-    s: int
-    p: tuple
-    c: float
-    max_deviation: float
-    second_magnitude: float
-    seed: tuple
-    convergent: bool
-    exact: Optional[DifferenceFormula] = None
-
-    def table_line(self, rational: bool = False) -> str:
-        if rational and self.exact is not None:
-            toks = [str(v) for v in self.exact.p]
-            toks.append("0")
-            toks.append(f"{self.max_deviation:.4f}")
-            toks.append(str(rationalize(self.second_magnitude)))
-            toks.append(str(self.exact.c))
-        else:
-            toks = [f"{v:.4f}" for v in self.p]
-            toks.append("0")
-            toks.append(f"{self.max_deviation:.4f}")
-            toks.append(f"{self.second_magnitude:.4f}")
-            toks.append(f"{self.c:.4f}")
-        return " ".join(toks)
-
-    def json_line(self) -> str:
-        return json.dumps(
-            {
-                "k": self.k,
-                "s": self.s,
-                "p": list(self.p),
-                "c": self.c,
-                "max_dev": self.max_deviation,
-                "second_mag": self.second_magnitude,
-                "seed": list(self.seed),
-                "convergent": self.convergent,
-            },
-            separators=(",", ":"),
-        )
-
-    def csv_line(self) -> str:
-        return ",".join(
-            [
-                str(self.k),
-                str(self.s),
-                ";".join(repr(v) for v in self.p),
-                repr(self.c),
-                repr(self.max_deviation),
-                repr(self.second_magnitude),
-                ";".join(repr(v) for v in self.seed),
-                str(self.convergent).lower(),
-            ]
-        )
+def _table_line(cand: Candidate, exact: Optional[DifferenceFormula]) -> str:
+    """Table row of ``cand``: 4-decimal floats, or lowest-term fractions
+    from ``exact``, its exact twin, when there is one."""
+    rep, fmt = cand.report, "{:.4f}".format
+    if exact is None:
+        p, second, c = map(fmt, cand.formula.p), fmt(rep.second_magnitude), fmt(cand.formula.c)
+    else:
+        p, second, c = map(str, exact.p), str(rationalize(rep.second_magnitude)), str(exact.c)
+    return " ".join([*p, "0", fmt(rep.max_deviation), second, c])
 
 
-_CSV_HEADER = "k,s,p,c,max_dev,second_mag,seed,convergent"
+_FIELDS = ("k", "s", "p", "c", "max_dev", "second_mag", "seed", "convergent")
+_CSV_HEADER = ",".join(_FIELDS)
+
+
+def _fields(dims: Dimensions, cand: Candidate) -> tuple:
+    f, rep = cand.formula, cand.report
+    return (dims.k, dims.s, list(f.p), f.c, rep.max_deviation, rep.second_magnitude,
+            list(cand.seed_final), rep.convergent)
+
+
+def _json_line(dims: Dimensions, cand: Candidate) -> str:
+    return json.dumps(dict(zip(_FIELDS, _fields(dims, cand))), separators=(",", ":"))
+
+
+def _csv_cell(v) -> str:
+    """Vectors semicolon-joined, floats at full precision, booleans lower case."""
+    if isinstance(v, list):
+        return ";".join(map(repr, v))
+    return str(v).lower() if isinstance(v, bool) else repr(v)
+
+
+def _csv_line(dims: Dimensions, cand: Candidate) -> str:
+    return ",".join(map(_csv_cell, _fields(dims, cand)))
 
 
 def _dims(parser: argparse.ArgumentParser, args) -> Dimensions:
@@ -174,6 +157,13 @@ def _dims(parser: argparse.ArgumentParser, args) -> Dimensions:
         return Dimensions(args.k, args.s, allow_large_k=args.allow_large_k)
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
+
+
+def _reject_ignored(parser: argparse.ArgumentParser, args, flags: tuple, context: str):
+    """Usage error naming the first of ``flags`` given where ``context`` ignores it."""
+    for flag in flags:
+        if getattr(args, flag[2:]) is not None:
+            parser.error(f"{flag} is not used {context}")
 
 
 def _seed_formula(parser: argparse.ArgumentParser, args):
@@ -226,31 +216,16 @@ def cmd_discover(args, parser: argparse.ArgumentParser) -> int:
         initial_seed=None if init_fracs is None else [float(v) for v in init_fracs],
     )
 
-    records = []
-    for cand in result.candidates:
-        exact = (
-            _exact_twin(cand.seed_final, dims, init_fracs) if args.rational else None
-        )
-        records.append(
-            TpolyRecord(
-                k=dims.k,
-                s=dims.s,
-                p=cand.formula.p,
-                c=cand.formula.c,
-                max_deviation=cand.report.max_deviation,
-                second_magnitude=cand.report.second_magnitude,
-                seed=cand.seed_final,
-                convergent=cand.report.convergent,
-                exact=exact,
-            )
-        )
-
+    cands = result.candidates
     if args.format == "json":
-        lines = [r.json_line() for r in records]
+        lines = [_json_line(dims, c) for c in cands]
     elif args.format == "csv":
-        lines = [_CSV_HEADER] + [r.csv_line() for r in records]
+        lines = [_CSV_HEADER] + [_csv_line(dims, c) for c in cands]
     else:
-        lines = [r.table_line(rational=args.rational) for r in records]
+        lines = [
+            _table_line(c, _exact_twin(c.seed_final, dims, init_fracs) if args.rational else None)
+            for c in cands
+        ]
     text = "".join(line + "\n" for line in lines)
     if args.output:
         with open(args.output, "w") as fh:
@@ -285,6 +260,7 @@ def cmd_analyze(args, parser: argparse.ArgumentParser) -> int:
     out = sys.stdout
     coeffs = args.poly
     if coeffs is not None:
+        _reject_ignored(parser, args, ("--k", "--s"), "with --poly")
         if coeffs[0] == 0:
             parser.error("--poly: leading coefficient must be nonzero")
         print("polynomial:", " ".join(str(v) for v in coeffs), file=out)
@@ -328,6 +304,7 @@ def cmd_order_check(args, parser: argparse.ArgumentParser) -> int:
         parser.error(f"--claimed must be >= 2, got {args.claimed}")
     coeffs = args.poly
     if coeffs is not None:
+        _reject_ignored(parser, args, ("--seed", "--k", "--s"), "with --poly")
         if args.c is None or args.claimed is None:
             parser.error("--poly needs --c and --claimed")
         if coeffs[0] == 0:
@@ -338,10 +315,12 @@ def cmd_order_check(args, parser: argparse.ArgumentParser) -> int:
         formula = DifferenceFormula(None, p, args.c / coeffs[0])
         checks.append(("custom", formula, args.claimed))
     elif args.seed is not None:
+        _reject_ignored(parser, args, ("--c",), "with --seed")
         dims, formula = _seed_formula(parser, args)
         claimed = args.claimed if args.claimed is not None else dims.order
         checks.append((f"seed(k={dims.k},s={dims.s})", formula, claimed))
     else:
+        _reject_ignored(parser, args, ("--c", "--claimed"), "without --poly or --seed")
         for kf in catalog():
             checks.append((kf.label, kf.to_formula(), kf.claimed_order))
 
@@ -398,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--runs", type=int, default=20, help="outer-loop runs")
     d.add_argument("--restarts", type=int, default=10, help="inner restarts per run")
     d.add_argument("--rng-seed", type=int, default=0, help="reproducibility seed")
-    d.add_argument("--init-seed", type=_vector,
+    d.add_argument("--init-seed", type=_float_vector,
                    help="comma-separated start seed for the first run")
     d.add_argument("--perturb-scale", type=float, default=0.1)
     d.add_argument("--rational", action="store_true", help="exact-arithmetic output")
@@ -408,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="root report for a polynomial or a seed")
     g = a.add_mutually_exclusive_group(required=True)
-    g.add_argument("--poly", type=_vector,
+    g.add_argument("--poly", type=_float_vector,
                    help="comma-separated polynomial, highest power first")
     g.add_argument("--seed", type=_vector, help="comma-separated seed (requires --k/--s)")
     add_dims(a, required=False)

@@ -56,7 +56,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .charpoly import PENALTY, RootReport, analyze_formula, objective_function
-from .taylor_system import DifferenceFormula, Dimensions, echelon_block, seed_to_formula
+from .taylor_system import DifferenceFormula, Dimensions, _check_int, echelon_block, seed_to_formula
 
 __all__ = [
     "DEDUP_TOL",
@@ -102,13 +102,8 @@ class SearchConfig:
 
     def __post_init__(self):
         for name in ("runs", "restarts", "nm_max_iter"):
-            value = getattr(self, name)
-            try:
-                if operator.index(value) >= 1:  # NumPy integers pass too
-                    continue
-            except TypeError:
-                pass
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            _check_int(name, getattr(self, name), 1)
+        _check_int("rng_seed", self.rng_seed, 0)
         if not 0 < self.perturb_scale < math.inf:  # NaN fails too
             raise ValueError(f"perturb_scale must be positive and finite: {self.perturb_scale}")
 

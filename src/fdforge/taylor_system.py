@@ -46,7 +46,6 @@ import numpy as np
 __all__ = [
     "K_LIMIT",
     "Dimensions",
-    "TaylorMatrix",
     "EchelonBlock",
     "DifferenceFormula",
     "RankDeficientError",
@@ -55,8 +54,6 @@ __all__ = [
     "build_taylor_matrix",
     "reduce_to_echelon",
     "echelon_block",
-    "seed_to_nullvector",
-    "nullvector_to_formula",
     "seed_to_formula",
 ]
 
@@ -81,6 +78,18 @@ class NonNormalizableSeedError(ValueError):
     (float path) whose normalization overflows."""
 
 
+def _check_int(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an integer >= ``least`` (0 or 1).
+    NumPy integers pass too."""
+    try:
+        if operator.index(value) >= least:
+            return
+    except TypeError:
+        pass
+    kind = "positive" if least else "non-negative"
+    raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Dimensions:
     """Problem size of a formula family.
@@ -96,13 +105,8 @@ class Dimensions:
     allow_large_k: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for name, value in (("k", self.k), ("s", self.s)):
-            try:
-                if operator.index(value) >= 1:  # NumPy integers pass too
-                    continue
-            except TypeError:
-                pass
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        _check_int("k", self.k, 1)
+        _check_int("s", self.s, 1)
         if self.k > K_LIMIT and not self.allow_large_k:
             raise ValueError(
                 f"k = {self.k} exceeds the factorial-growth guard k <= {K_LIMIT}; "
@@ -129,18 +133,9 @@ class Dimensions:
 
 
 @dataclass(frozen=True)
-class TaylorMatrix:
-    """(k+s) x k grid of exact Taylor coefficients for derivatives 2 .. k+1."""
-
-    dims: Dimensions
-    rows: tuple
-
-
-@dataclass(frozen=True)
 class EchelonBlock:
     """The k x s non-identity block B of the reduced echelon form [I | B]."""
 
-    dims: Dimensions
     b: tuple
 
     @cached_property
@@ -195,32 +190,31 @@ class DifferenceFormula:
         return DifferenceFormula(self.dims, tuple(float(v) for v in self.p), float(self.c))
 
 
-def build_taylor_matrix(dims: Dimensions) -> TaylorMatrix:
-    """Assemble the exact (k+s) x k coefficient matrix.
+def build_taylor_matrix(dims: Dimensions) -> tuple:
+    """Assemble the exact (k+s) x k coefficient matrix as a tuple of rows.
 
     Row 1 belongs to x_{j+1}: entry v is 1/(v+1)!.  Row u >= 2 belongs to
     x_{j-(u-1)}: entry v is (-(u-1))^(v+1) / (v+1)!.
     """
-    k = dims.k
     rows = []
     for u in range(1, dims.degree + 1):
         base = 1 if u == 1 else -(u - 1)
         rows.append(
-            tuple(Fraction(base ** (v + 1), math.factorial(v + 1)) for v in range(1, k + 1))
+            tuple(Fraction(base ** (v + 1), math.factorial(v + 1)) for v in range(1, dims.k + 1))
         )
-    return TaylorMatrix(dims, tuple(rows))
+    return tuple(rows)
 
 
-def reduce_to_echelon(a: TaylorMatrix) -> EchelonBlock:
-    """Reduce the transpose of ``a`` to [I | B] in exact rational arithmetic.
+def reduce_to_echelon(rows: tuple) -> EchelonBlock:
+    """Reduce the transpose of the (k+s) x k matrix ``rows`` to [I | B] in
+    exact rational arithmetic.
 
     Raises RankDeficientError if the rank drops below k and
     PivotDisplacementError if the pivots do not occupy the first k columns
     (either would break the seed -> null vector map).
     """
-    dims = a.dims
-    k, n = dims.k, dims.degree
-    mat = [[a.rows[r][c] for r in range(n)] for c in range(k)]
+    n, k = len(rows), len(rows[0])
+    mat = [[rows[r][c] for r in range(n)] for c in range(k)]
 
     piv_cols = []
     row = 0
@@ -242,13 +236,13 @@ def reduce_to_echelon(a: TaylorMatrix) -> EchelonBlock:
 
     if row < k:
         raise RankDeficientError(
-            f"coefficient matrix for k={k}, s={dims.s} has rank {row} < {k}"
+            f"coefficient matrix for k={k}, s={n - k} has rank {row} < {k}"
         )
     if piv_cols != list(range(k)):
         raise PivotDisplacementError(
             f"echelon pivots fell in columns {piv_cols}, expected the first {k}"
         )
-    return EchelonBlock(dims, tuple(tuple(r[k:]) for r in mat))
+    return EchelonBlock(tuple(tuple(r[k:]) for r in mat))
 
 
 @lru_cache(maxsize=None)
@@ -269,8 +263,8 @@ def _nullvector_writer(block: EchelonBlock, q: np.ndarray):
     """
     # -B @ y has the bits of -(B @ y): rounding is symmetric in sign.
     neg_b = -block.b_float
-    s = block.dims.s
-    q_head, q_seed = q[: block.dims.k], q[block.dims.k :]
+    k, s = neg_b.shape
+    q_head, q_seed = q[:k], q[k:]
 
     def write(y) -> float:
         yv = np.asarray(y, dtype=float)
@@ -293,63 +287,43 @@ def _nullvector_writer(block: EchelonBlock, q: np.ndarray):
     return write
 
 
-def seed_to_nullvector(block: EchelonBlock, y: Sequence, *, exact: bool = False):
-    """Spawn the normalized left null vector selected by seed ``y``.
+def seed_to_formula(dims: Dimensions, y: Sequence, *, exact: bool = False) -> DifferenceFormula:
+    """The difference formula spawned by seed ``y``.
 
-    The raw null vector is q = [-B @ y, y]; it is returned divided by its
-    leading entry so that q[0] = 1.  A seed of the wrong length or a zero
-    seed raises ValueError, and a leading entry that vanishes raises
-    NonNormalizableSeedError: exactly zero on the exact path, below
-    NORMALIZE_RTOL relative to max|q| on the float path.  The float path
-    also raises ValueError for a non-finite seed and NonNormalizableSeedError
-    for a null vector that overflows float64 once normalized.
+    The raw left null vector is q = [-B @ y, y] (B of ``echelon_block``,
+    cached per dims); divided by its leading entry so that q[0] = 1, it
+    gives p = [1, -sum(q), q[1:]] and c = 1 - sum(i * q[i]).  With
+    ``exact`` the seed entries are taken as Fractions and so is every
+    coefficient; otherwise the arithmetic is float64.
+
+    A seed of the wrong length or a zero seed raises ValueError, and a
+    leading entry that vanishes raises NonNormalizableSeedError: exactly
+    zero on the exact path, below NORMALIZE_RTOL relative to max|q| on the
+    float path.  The float path also raises ValueError for a non-finite
+    seed and NonNormalizableSeedError for a null vector that overflows
+    float64 once normalized.
     """
-    dims = block.dims
+    block = echelon_block(dims)
+    d = dims.degree
     if not exact:
-        q = np.empty(dims.degree)
-        _nullvector_writer(block, q)(y)
-        return q
+        q = np.empty(d)
+        total = _nullvector_writer(block, q)(y)
+        p = (1.0, float(-total), *(float(v) for v in q[1:]))
+        c = 1.0 - float(np.arange(1.0, d) @ q[1:])
+        return DifferenceFormula(dims, p, c)
     if len(y) != dims.s:
         raise ValueError(f"seed length {len(y)} != s = {dims.s}")
     ys = [Fraction(v) for v in y]
-    if all(v == 0 for v in ys):
+    if not any(ys):
         raise ValueError("seed must be nonzero")
-    head = [-sum(brow[j] * ys[j] for j in range(dims.s)) for brow in block.b]
-    q = head + ys
+    q = [-sum(brow[j] * ys[j] for j in range(dims.s)) for brow in block.b] + ys
     if q[0] == 0:
         raise NonNormalizableSeedError(
             "null vector has zero leading entry; "
             "the seed generates no normalizable formula"
         )
     lead = q[0]
-    return tuple(v / lead for v in q)
-
-
-def nullvector_to_formula(q, dims: Dimensions) -> DifferenceFormula:
-    """Turn a normalized null vector into its difference formula.
-
-    p = [1, -sum(q), q[1:]] and c = 1 - sum(i * q[i]).  Fraction input
-    produces the exact formula, float input the float one.
-    """
-    if len(q) != dims.degree:
-        raise ValueError(f"null vector length {len(q)} != degree {dims.degree}")
-
-    if not isinstance(q, np.ndarray) and isinstance(q[0], Fraction):
-        if q[0] != 1:
-            raise ValueError("null vector must be normalized to q[0] = 1")
-        p = [Fraction(1), -sum(q)] + list(q[1:])
-        c = 1 - sum(i * q[i] for i in range(1, dims.degree))
-        return DifferenceFormula(dims, tuple(p), Fraction(c))
-
-    qv = np.asarray(q, dtype=float)
-    if abs(qv[0] - 1.0) > 1e-9:
-        raise ValueError("null vector must be normalized to q[0] = 1")
-    p = (1.0, float(-qv.sum()), *(float(v) for v in qv[1:]))
-    c = 1.0 - float(np.arange(1.0, dims.degree) @ qv[1:])
+    q = [v / lead for v in q]
+    p = (Fraction(1), -sum(q), *q[1:])
+    c = 1 - sum(i * q[i] for i in range(1, d))
     return DifferenceFormula(dims, p, c)
-
-
-def seed_to_formula(dims: Dimensions, y: Sequence, *, exact: bool = False) -> DifferenceFormula:
-    """Full seed -> formula pipeline with the echelon block cached per dims."""
-    block = echelon_block(dims)
-    return nullvector_to_formula(seed_to_nullvector(block, y, exact=exact), dims)

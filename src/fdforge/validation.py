@@ -18,7 +18,7 @@ the formula's own defect from any derivative-estimation error.
 Order labels are treated as lower bounds on the measured slope: the
 symmetric Euler formula (A) carries the label 2 but measures slope 3 on
 e^t because its residual expansion is odd in tau.  The order check
-therefore passes whenever the fitted slope reaches claimed - slope_tol.
+therefore passes whenever the fitted slope reaches claimed - SLOPE_TOL.
 """
 
 from __future__ import annotations
@@ -208,14 +208,13 @@ def empirical_order(
     claimed: int,
     *,
     formula_id: str = "?",
-    slope_tol: float = SLOPE_TOL,
 ) -> OrderCheckResult:
     """Measure the truncation order of ``f`` on x = e^t at t = 0.
 
     |residual| is sampled over tau = 2^-3 .. 2^-10 and the slope of
     log|residual| against log tau fitted by least squares, using only the
     points above the UNDERFLOW noise floor.  Passing means slope >=
-    claimed - slope_tol.  When fewer than two points survive the filter
+    claimed - SLOPE_TOL.  When fewer than two points survive the filter
     the slope is unfittable; that counts as a pass with the underflow
     flag set (the residual died into rounding noise faster than the fit
     could see, which no finite claimed order contradicts).
@@ -243,7 +242,7 @@ def empirical_order(
         residuals=res,
         fitted_slope=slope,
         claimed_order=claimed,
-        passed=slope >= claimed - slope_tol,
+        passed=slope >= claimed - SLOPE_TOL,
         underflow=False,
     )
 
@@ -255,7 +254,6 @@ def simulate(
     steps: int,
     *,
     t0: float = 0.0,
-    blowup_threshold: float = BLOWUP_THRESHOLD,
 ) -> RecurrenceRun:
     """Run ``f`` as a multistep recurrence against ``x`` for ``steps`` steps.
 
@@ -266,8 +264,8 @@ def simulate(
 
     with the exact derivative fed in.  max_error is the largest deviation
     of a computed iterate from the exact trajectory; when an iterate
-    passes blowup_threshold the run stops there, diverged is set, and
-    max_error is the error at the detection point.
+    passes BLOWUP_THRESHOLD in magnitude the run stops there, diverged is
+    set, and max_error is the error at the detection point.
 
     The arithmetic is fixed, so every result is reproducible to the bit:
     samples and derivatives are taken at t0 + j*tau, the forcing is
@@ -281,6 +279,7 @@ def simulate(
     d = len(back)
     c_tau = float(f.c) * tau
     value, deriv, fsum, mul = x.value, x.derivative, math.fsum, operator.mul
+    blowup = BLOWUP_THRESHOLD
 
     hist = [value(t0 + j * tau) for j in range(d)]
     max_error = 0.0
@@ -290,7 +289,7 @@ def simulate(
         nxt = c_tau * deriv(t0 + j * tau) - fsum(map(mul, back, hist[-d:]))
         hist.append(nxt)
         err = abs(nxt - value(t0 + (j + 1) * tau))
-        if abs(nxt) > blowup_threshold:
+        if abs(nxt) > blowup:
             max_error = err
             diverged = True
             break
@@ -307,16 +306,12 @@ def simulate(
     )
 
 
-def validate_catalog(
-    *,
-    corrupt: Optional[str] = None,
-    sim_tau: float = 0.01,
-    sim_steps: int = 1000,
-) -> list[dict]:
+def validate_catalog(*, corrupt: Optional[str] = None) -> list[dict]:
     """Full integrity check of the catalog; one result dict per entry.
 
     Each entry is checked for p(1) = 0, p'(1) = c (both exact), the
-    root condition, the empirical order, and a bounded sin-t simulation.
+    root condition, the empirical order, and a bounded sin-t simulation
+    (1000 steps of tau = 0.01).
     ``corrupt`` perturbs the named entry's trailing coefficient before
     checking — a negative control proving the harness can fail.
     """
@@ -333,7 +328,7 @@ def validate_catalog(
         c_matches = dp_at_1 == kf.c
         report = analyze_formula(formula)
         order = empirical_order(formula, kf.claimed_order, formula_id=kf.label)
-        run = simulate(formula, SIN, sim_tau, sim_steps)
+        run = simulate(formula, SIN, 0.01, 1000)
         ok = (
             sums_to_zero
             and c_matches

@@ -373,6 +373,11 @@ def test_config_validation():
                 {"runs": "2"}, {"restarts": None}):
         with pytest.raises(ValueError, match="must be a positive integer"):
             SearchConfig(dims=d, **{"runs": 1, "restarts": 1, **bad})
+    # the rng seed may be 0, but not negative or fractional
+    SearchConfig(dims=d, runs=1, restarts=1, rng_seed=np.int64(0))
+    for bad in (-1, 1.5, None):
+        with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
+            SearchConfig(dims=d, runs=1, restarts=1, rng_seed=bad)
 
 
 # ----------------------------------------------------------------- discover
