@@ -187,13 +187,11 @@ def analyze_formula(formula: DifferenceFormula) -> RootReport:
     return analyze([float(v) for v in formula.p])
 
 
-def objective_function(
-    dims: Dimensions, *, penalty: float = PENALTY
-) -> Callable[[np.ndarray], float]:
+def objective_function(dims: Dimensions) -> Callable[[np.ndarray], float]:
     """Seed -> max root magnitude, packaged for a numerical minimizer.
 
     Degenerate seeds (wrong shape, zero, non-finite, non-normalizable,
-    overflowing, or breaking the eigenvalue solve) score ``penalty``
+    overflowing, or breaking the eigenvalue solve) score ``PENALTY``
     instead of raising, so the search can roam freely.  Values below 1 are
     impossible — p(1) = 0 pins a root at 1 — which makes 1 the global floor
     of the landscape.
@@ -202,7 +200,7 @@ def objective_function(
     thousands of calls per session), so it works on preallocated buffers
     instead of going through the formula/report objects.  It runs the same
     two steps as ``analyze_formula(seed_to_formula(...))`` (the null vector,
-    then the companion-root kernel), so it scores ``penalty`` exactly where
+    then the companion-root kernel), so it scores ``PENALTY`` exactly where
     that raises and otherwise equals its ``max_magnitude`` to the bit.
     Each returned closure carries private scratch buffers and a private
     ``contextvars.Context`` in which the root kernel runs with NumPy's
@@ -230,7 +228,7 @@ def objective_function(
             np.negative(q_rest, out=tail_rest)
             val = float(np.abs(quiet.run(_companion_roots, tail, comp, roots)).max())
         except (ValueError, np.linalg.LinAlgError):
-            return penalty
-        return val if math.isfinite(val) else penalty
+            return PENALTY
+        return val if math.isfinite(val) else PENALTY
 
     return f

@@ -16,10 +16,10 @@ coefficients (highest power first), a separating literal 0, the deviation
 of the maximal root magnitude from 1, the second-largest root magnitude,
 and the coefficient c of tau * dx.  Float mode prints 4 decimal places;
 ``--rational`` switches the formula pipeline to exact arithmetic and
-prints lowest-term fractions (the second magnitude, an algebraic number,
-is shown as its closest small-denominator rational).  ``--format json``
-emits one JSON object per row with full-precision floats; identical
-invocations with the same --rng-seed produce byte-identical output.
+prints p and c as lowest-term fractions, while the root magnitudes,
+algebraic numbers, stay 4-decimal floats.  ``--format json`` emits one
+JSON object per row with full-precision floats; identical invocations with
+the same --rng-seed produce byte-identical output.
 
 Exit codes: 0 success, 1 internal error or failed validation, 2 bad
 arguments.
@@ -40,7 +40,7 @@ from .search import Candidate, SearchConfig, discover
 from .taylor_system import DifferenceFormula, Dimensions, seed_to_formula
 from .validation import catalog, empirical_order, validate_catalog
 
-__all__ = ["main", "build_parser", "rationalize"]
+__all__ = ["main", "build_parser"]
 
 # Flags whose values are comma-separated vectors (or signed scalars) and may
 # start with "-"; they get joined into --flag=value form so the parser never
@@ -88,43 +88,15 @@ def _float_vector(text: str) -> list:
     return vec
 
 
-def rationalize(x: float, tol: float = 1e-6) -> Fraction:
-    """Shortest continued-fraction convergent of ``x`` within ``tol``.
-
-    This mirrors the usual terminal display of near-rational floats: walk
-    the continued-fraction expansion and stop at the first convergent
-    whose error is within tol * max(1, |x|).
-    """
-    target = Fraction(x).limit_denominator(10**12)
-    bound = tol * max(1.0, abs(x))
-    # Convergents h_n/k_n of the continued fraction of target, via the
-    # standard recurrence h_n = a_n h_{n-1} + h_{n-2} (h_{-1}=1, h_{-2}=0).
-    h_pp, h_p = 0, 1
-    k_pp, k_p = 1, 0
-    rest = target
-    conv = Fraction(0)
-    for _ in range(64):
-        a = rest.numerator // rest.denominator
-        h = a * h_p + h_pp
-        k = a * k_p + k_pp
-        conv = Fraction(h, k)
-        if abs(float(conv) - x) <= bound or rest == a:
-            return conv
-        h_pp, h_p = h_p, h
-        k_pp, k_p = k_p, k
-        rest = 1 / (rest - a)
-    return conv
-
-
 def _table_line(cand: Candidate, exact: Optional[DifferenceFormula]) -> str:
-    """Table row of ``cand``: 4-decimal floats, or lowest-term fractions
-    from ``exact``, its exact twin, when there is one."""
+    """Table row of ``cand``: 4-decimal floats, with p and c as lowest-term
+    fractions from ``exact``, its exact twin, when there is one."""
     rep, fmt = cand.report, "{:.4f}".format
     if exact is None:
-        p, second, c = map(fmt, cand.formula.p), fmt(rep.second_magnitude), fmt(cand.formula.c)
+        p, c = map(fmt, cand.formula.p), fmt(cand.formula.c)
     else:
-        p, second, c = map(str, exact.p), str(rationalize(rep.second_magnitude)), str(exact.c)
-    return " ".join([*p, "0", fmt(rep.max_deviation), second, c])
+        p, c = map(str, exact.p), str(exact.c)
+    return " ".join([*p, "0", fmt(rep.max_deviation), fmt(rep.second_magnitude), c])
 
 
 _FIELDS = ("k", "s", "p", "c", "max_dev", "second_mag", "seed", "convergent")
@@ -310,9 +282,17 @@ def cmd_order_check(args, parser: argparse.ArgumentParser) -> int:
         if coeffs[0] == 0:
             parser.error("--poly: leading coefficient must be nonzero")
         # --c is the tau*dx weight on the same scale as --poly, so both are
-        # normalized by the leading coefficient together.
+        # normalized by the leading coefficient together, and the order fit
+        # takes them as floats.
         p = tuple(v / coeffs[0] for v in coeffs)
-        formula = DifferenceFormula(None, p, args.c / coeffs[0])
+        c = args.c / coeffs[0]
+        for flag, values in (("--poly", p), ("--c", (c,))):
+            try:
+                list(map(float, values))
+            except OverflowError:
+                parser.error(f"{flag}: too large for a float once divided by the "
+                             "leading coefficient")
+        formula = DifferenceFormula(None, p, c)
         checks.append(("custom", formula, args.claimed))
     elif args.seed is not None:
         _reject_ignored(parser, args, ("--c",), "with --seed")
@@ -369,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--allow-large-k",
             action="store_true",
-            help="override the k <= 8 factorial-growth guard",
+            help="allow k > 8, where the float search is ill-conditioned",
         )
 
     d = sub.add_parser("discover", help="randomized search for convergent formulas")

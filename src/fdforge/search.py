@@ -47,11 +47,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +60,7 @@ from .taylor_system import DifferenceFormula, Dimensions, _check_int, echelon_bl
 __all__ = [
     "DEDUP_TOL",
     "STALL_ITERS",
+    "NM_MAX_ITER",
     "NM_TOL_X",
     "NM_TOL_F",
     "SearchConfig",
@@ -80,6 +80,9 @@ DEDUP_TOL = 1e-8
 # consecutive iterations (see nelder_mead).
 STALL_ITERS = 200
 
+# Nelder-Mead iteration cap of every polish.
+NM_MAX_ITER = 2000
+
 # Nelder-Mead has converged once its simplex spans at most NM_TOL_X in every
 # coordinate and at most NM_TOL_F in value.
 NM_TOL_X = 1e-8
@@ -89,19 +92,19 @@ NM_TOL_F = 1e-10
 @dataclass(frozen=True)
 class SearchConfig:
     """One discovery session: its dimensions, outer runs and inner restarts
-    per run, rng seed, Nelder-Mead iteration cap, perturbation scale (relative
-    to the largest seed entry) and the objective's penalty value."""
+    per run, rng seed and perturbation scale (relative to the largest seed
+    entry).  The Nelder-Mead iteration cap and the penalty are constants."""
 
     dims: Dimensions
     runs: int = 100
     restarts: int = 10
     rng_seed: int = 0
-    nm_max_iter: int = 2000
     perturb_scale: float = 0.1
-    penalty: float = PENALTY
+    nm_max_iter: ClassVar[int] = NM_MAX_ITER
+    penalty: ClassVar[float] = PENALTY
 
     def __post_init__(self):
-        for name in ("runs", "restarts", "nm_max_iter"):
+        for name in ("runs", "restarts"):
             _check_int(name, getattr(self, name), 1)
         _check_int("rng_seed", self.rng_seed, 0)
         if not 0 < self.perturb_scale < math.inf:  # NaN fails too
@@ -138,18 +141,13 @@ class SearchResult:
     failure_plateaus: tuple
 
 
-def _argsort(fsim: list) -> list:
-    """``np.argsort(fsim)`` as a list.  Values that are distinct and not NaN
-    have exactly one ascending order, which ``sorted`` finds; ties and NaN go
-    to NumPy, whose default sort is not stable on every build."""
-    ind = sorted(range(len(fsim)), key=fsim.__getitem__)
-    ordered = [fsim[i] for i in ind]
-    if all(map(operator.lt, ordered, ordered[1:])):
-        return ind
-    return np.argsort(fsim).tolist()
+def _order(fsim: list) -> list:
+    """``np.argsort(fsim, kind="stable")`` as a list: ascending, ties in
+    index order, NaN last."""
+    return sorted(range(len(fsim)), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
 
 
-def nelder_mead(f, x0: np.ndarray, *, max_iter: int = 2000):
+def nelder_mead(f, x0: np.ndarray, *, max_iter: int = NM_MAX_ITER):
     """Minimize ``f`` from ``x0`` with Nelder-Mead; returns (x, fun, nit).
 
     Standard simplex coefficients (reflection 1, expansion 2, contraction
@@ -158,9 +156,10 @@ def nelder_mead(f, x0: np.ndarray, *, max_iter: int = 2000):
     collapses below NM_TOL_X in x AND NM_TOL_F in f, or after max_iter
     iterations.  These are the steps of SciPy's
     ``minimize(method="Nelder-Mead", adaptive=False)`` with ``xatol=NM_TOL_X``,
-    ``fatol=NM_TOL_F`` and ``maxiter=max_iter``, taken in the same order on
-    the same floats, with ``nit`` counted the same way and ``f`` called
-    once per point, on a float array of x0's size.
+    ``fatol=NM_TOL_F`` and ``maxiter=max_iter`` (its vertex sort made
+    stable), taken in the same order on the same floats, with ``nit``
+    counted the same way and ``f`` called once per point, on a float array
+    of x0's size.
 
     The simplex is kept as lists of Python floats, which for the few
     coordinates of a seed costs less than NumPy's per-call overhead, and
@@ -168,12 +167,8 @@ def nelder_mead(f, x0: np.ndarray, *, max_iter: int = 2000):
     order and then divides by n (``np.add.reduce`` over rows is
     sequential; Python's ``sum`` is not used, as from Python 3.12 it
     compensates), and the points use the same folded constants.  The
-    vertices are reordered as ``np.argsort`` orders them: ``sorted`` when
-    the n+1 values are distinct and none is NaN, and ``np.argsort`` itself
-    on a tie or a NaN, because its default sort is not stable on every
-    build (on AVX-512 it may order tied values differently from a stable
-    sort).  SciPy's double sort of the first simplex is kept for the same
-    reason.
+    vertices are reordered by a stable sort that puts NaN last, so a tie
+    resolves the same way on every host.
 
     One exit is added: stop once the best vertex has not changed for
     ``STALL_ITERS`` consecutive iterations.  Plateaus make NM stall like
@@ -185,8 +180,9 @@ def nelder_mead(f, x0: np.ndarray, *, max_iter: int = 2000):
     would have moved its best vertex again after more than ``STALL_ITERS``
     idle iterations.  (The test is on the vertex, not on a strict decrease
     of ``fun``, because the reorder may swap tied vertices.)  Over the
-    1,315 polishes of the reference searches at (3,3), (4,4) and (5,5),
-    the longest idle stretch that a later move ended was 148 iterations.
+    1,154 polishes of the searches at (3,3), (4,4) and (5,5) with runs 20,
+    restarts 10 and rng seeds 0 and 1, the longest idle stretch that a
+    later move ended was 100 iterations.
 
     A shrink can also land the simplex back on itself bit for bit once it
     has collapsed to the last bit (Lagarias et al., SIAM J. Optim. 9(1),
@@ -212,11 +208,9 @@ def nelder_mead(f, x0: np.ndarray, *, max_iter: int = 2000):
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
         sim.append(y)
     fsim = [f(np.array(v)) for v in sim]
-    # SciPy sorts the first simplex twice; an unstable sort may swap ties.
-    for _ in range(2):
-        ind = _argsort(fsim)
-        sim = [sim[i] for i in ind]
-        fsim = [fsim[i] for i in ind]
+    ind = _order(fsim)
+    sim = [sim[i] for i in ind]
+    fsim = [fsim[i] for i in ind]
 
     nit = 1
     idle = 0
@@ -262,7 +256,7 @@ def nelder_mead(f, x0: np.ndarray, *, max_iter: int = 2000):
                     sim[j] = [a + 0.5 * (b - a) for a, b in zip(best, sim[j])]
                     fsim[j] = f(np.array(sim[j]))
         nit += 1
-        ind = _argsort(fsim)
+        ind = _order(fsim)
         sim = [sim[i] for i in ind]
         fsim = [fsim[i] for i in ind]
         idle = 0 if ind[0] else idle + 1
@@ -317,7 +311,7 @@ def _run_outer(
     objective value when the run found nothing (None otherwise).
     """
     rng = np.random.default_rng(ss)
-    f = objective_function(cfg.dims, penalty=cfg.penalty)
+    f = objective_function(cfg.dims)
     # NM runs in the coordinates z of the seed hyperplane b·y = 1, where
     # y = y_p + plane @ z (see the module docstring).
     block = echelon_block(cfg.dims)
@@ -342,7 +336,7 @@ def _run_outer(
     def classify(y0: np.ndarray, y: np.ndarray, fy: float, nit: int, inner_index: int):
         """Candidate for seed ``y`` if it is convergent, else None.  A value
         fy = f(y) below the penalty means the float seed path cannot raise."""
-        if fy >= cfg.penalty:
+        if fy >= PENALTY:
             return None
         formula = seed_to_formula(cfg.dims, y)
         report = analyze_formula(formula)
@@ -369,7 +363,7 @@ def _run_outer(
         cand = classify(y0, x, fx, nit, inner_index)
         # At s = 1 the plane is one point: every nonzero seed is one formula.
         if cand is None and plane.shape[1]:
-            z, fx, nit = nelder_mead(g, onto_plane(y0), max_iter=cfg.nm_max_iter)
+            z, fx, nit = nelder_mead(g, onto_plane(y0))
             x = lift(z)
             cand = classify(y0, x, fx, nit, inner_index)
         return fx, x, cand

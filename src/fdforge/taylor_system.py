@@ -57,7 +57,8 @@ __all__ = [
     "seed_to_formula",
 ]
 
-# Guard against factorial blowup of the matrix entries; override per instance.
+# Above this k the float search is ill-conditioned (the entries of B and the
+# condition of the seed -> polynomial map grow fast); override per instance.
 K_LIMIT = 8
 
 # A float-path null vector is unusable when its leading entry is this small
@@ -109,8 +110,8 @@ class Dimensions:
         _check_int("s", self.s, 1)
         if self.k > K_LIMIT and not self.allow_large_k:
             raise ValueError(
-                f"k = {self.k} exceeds the factorial-growth guard k <= {K_LIMIT}; "
-                "pass allow_large_k=True to override"
+                f"k = {self.k} exceeds k <= {K_LIMIT}, beyond which the float "
+                "search is ill-conditioned; pass allow_large_k=True to override"
             )
         if self.s < self.k:
             warnings.warn(

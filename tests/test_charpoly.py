@@ -226,8 +226,6 @@ def test_objective_penalty_cases():
     assert f(np.array([np.nan, 1.0])) == PENALTY
     assert f(np.array([1.0, 2.0, 3.0])) == PENALTY
     assert f(np.array([-9.0, 2.0])) == PENALTY  # non-normalizable seed
-    g = objective_function(d, penalty=123.0)
-    assert g(np.array([0.0, 0.0])) == 123.0
 
 
 def test_objective_overflow_penalized_before_lapack(monkeypatch):

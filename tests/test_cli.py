@@ -62,10 +62,10 @@ def test_discover_rational_table_line():
         "--runs", "1", "--restarts", "1", "--init-seed=1,110,-40", "--rational",
     )
     assert r.returncode == 0
-    dev, _ = root_fields(3, 3, [1.0, 110.0, -40.0], 0.9591400231139727)
-    # 446/465 is the second root magnitude rationalized, 196/79 the exact c
+    dev, mag = root_fields(3, 3, [1.0, 110.0, -40.0], 0.9591400231139727)
+    # p and c are exact; the root magnitudes, algebraic numbers, stay floats
     assert r.stdout == (
-        f"1 80/237 -182/237 -206/237 1/237 110/237 -40/237 0 {dev:.4f} 446/465 196/79\n"
+        f"1 80/237 -182/237 -206/237 1/237 110/237 -40/237 0 {dev:.4f} {mag:.4f} 196/79\n"
     )
     assert r.stderr == SUMMARY_1
 
@@ -286,6 +286,9 @@ def test_malformed_number_is_a_usage_error_naming_the_flag(flag, bad, capsys):
     (("order-check", "--poly=1,0,-1", "--c", "2", "--claimed", "2", "--k", "2"), "--k"),
     (("analyze", "--poly=1,0,-1", "--k", "2"), "--k"),
     (("analyze", "--poly=1,0,-1", "--s", "2"), "--s"),
+    # exact values that overflow a float once normalized by p[0]
+    (("order-check", "--poly=1e-300,-1e300", "--c", "1", "--claimed", "2"), "--poly"),
+    (("order-check", "--poly=1e-300,-1e-300", "--c", "1e300", "--claimed", "2"), "--c"),
 ])
 def test_out_of_range_value_is_a_usage_error(argv, name, capsys):
     with pytest.raises(SystemExit) as exc:

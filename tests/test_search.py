@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,11 +33,14 @@ def rosenbrock(v):
 
 
 def scipy_nm(f, x0, max_iter=2000):
-    """SciPy's Nelder-Mead with the options nelder_mead documents."""
-    return minimize(f, x0, method="Nelder-Mead", options={
-        "xatol": 1e-8, "fatol": 1e-10, "maxiter": max_iter,
-        "initial_simplex": None, "adaptive": False,
-    })
+    """SciPy's Nelder-Mead with the options nelder_mead documents, and with
+    its vertex sort made stable, as nelder_mead's is."""
+    argsort = np.argsort
+    with mock.patch.object(np, "argsort", lambda a: argsort(a, kind="stable")):
+        return minimize(f, x0, method="Nelder-Mead", options={
+            "xatol": 1e-8, "fatol": 1e-10, "maxiter": max_iter,
+            "initial_simplex": None, "adaptive": False,
+        })
 
 
 def same_bits(a, b):
@@ -57,10 +61,9 @@ def numpy_nelder_mead(f, x0, *, tol_x=1e-8, tol_f=1e-10, max_iter=2000,
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
         sim[k + 1] = y
     fsim = np.array([f(v) for v in sim], dtype=float)
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+    ind = np.argsort(fsim, kind="stable")
+    sim = np.take(sim, ind, 0)
+    fsim = np.take(fsim, ind, 0)
     nit = 1
     idle = 0
     while nit < max_iter:
@@ -97,7 +100,7 @@ def numpy_nelder_mead(f, x0, *, tol_x=1e-8, tol_f=1e-10, max_iter=2000,
                     sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
                     fsim[j] = f(sim[j])
         nit += 1
-        ind = np.argsort(fsim)
+        ind = np.argsort(fsim, kind="stable")
         sim = np.take(sim, ind, 0)
         fsim = np.take(fsim, ind, 0)
         idle = 0 if ind[0] else idle + 1
@@ -284,8 +287,8 @@ def test_nm_matches_the_numpy_loop_on_the_discover_44_polishes(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_nm_matches_the_numpy_loop_on_ties_and_nan(n):
-    # tied values take np.argsort's order, which on some builds is not a
-    # stable sort's; NaN values sort last there
+    # tied values keep their index order (a stable sort); NaN values sort
+    # last
     rng = np.random.default_rng(n)
     obj = objective_function(Dimensions(n, n))
     for i in range(12):
@@ -294,6 +297,34 @@ def test_nm_matches_the_numpy_loop_on_ties_and_nan(n):
         assert_same_polish(nan_stripes, y0, max_iter=300)
         if i < 2:
             assert_same_polish(obj, y0)
+
+
+def reversed_ties_argsort(a, *args, **kwargs):
+    """An ascending order that puts tied values in reverse index order."""
+    a = np.asarray(a)
+    return np.lexsort((-np.arange(a.size), a))
+
+
+def test_tie_order_does_not_depend_on_numpy_sort(monkeypatch):
+    # How np.argsort orders tied values depends on the sort kernel NumPy
+    # picks for the CPU.  With the vertex sort of every host reversed on
+    # ties, the polishes and a (5,5) search must come out the same.
+    def polishes():
+        rng = np.random.default_rng(5)
+        out = []
+        for _ in range(6):
+            x, fun, nit = nelder_mead(plateau, rng.standard_normal(4), max_iter=300)
+            out.append((x.tobytes(), fun.hex(), nit))
+        return out
+
+    def search_55():
+        res = discover(SearchConfig(dims=Dimensions(5, 5), runs=1, restarts=10, rng_seed=1))
+        return bits((res.candidates, res.attempts, res.failure_plateaus))
+
+    monkeypatch.setattr(search, "_worker_count", lambda runs: 1)
+    expected = polishes(), search_55()
+    monkeypatch.setattr(np, "argsort", reversed_ties_argsort)
+    assert (polishes(), search_55()) == expected
 
 
 def test_nm_matches_the_numpy_loop_from_a_non_finite_start():
@@ -361,15 +392,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(dims=d, runs=1, restarts=0)
     with pytest.raises(ValueError):
-        SearchConfig(dims=d, runs=1, restarts=1, nm_max_iter=0)
-    with pytest.raises(ValueError):
         SearchConfig(dims=d, runs=1, restarts=1, perturb_scale=0.0)
     for bad in (float("nan"), float("inf")):  # nan <= 0 is False
         with pytest.raises(ValueError, match="perturb_scale"):
             SearchConfig(dims=d, runs=1, restarts=1, perturb_scale=bad)
     # counts are integers: NumPy integers pass, floats and strings do not
-    SearchConfig(dims=d, runs=np.int64(2), restarts=np.int32(1), nm_max_iter=np.uint8(9))
-    for bad in ({"runs": 2.5}, {"runs": 2.0}, {"restarts": 1.5}, {"nm_max_iter": 10.5},
+    SearchConfig(dims=d, runs=np.int64(2), restarts=np.int32(1))
+    for bad in ({"runs": 2.5}, {"runs": 2.0}, {"restarts": 1.5},
                 {"runs": "2"}, {"restarts": None}):
         with pytest.raises(ValueError, match="must be a positive integer"):
             SearchConfig(dims=d, **{"runs": 1, "restarts": 1, **bad})
@@ -378,6 +407,11 @@ def test_config_validation():
     for bad in (-1, 1.5, None):
         with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
             SearchConfig(dims=d, runs=1, restarts=1, rng_seed=bad)
+    # the iteration cap and the penalty are constants, not settings
+    cfg = SearchConfig(dims=d, runs=1, restarts=1)
+    assert cfg.nm_max_iter == 2000 and cfg.penalty == PENALTY
+    assert [f.name for f in fields(cfg)] == ["dims", "runs", "restarts", "rng_seed",
+                                             "perturb_scale"]
 
 
 # ----------------------------------------------------------------- discover
