@@ -15,9 +15,10 @@ Result rows follow the classic TPOLY layout: the normalized polynomial
 coefficients (highest power first), a separating literal 0, the deviation
 of the maximal root magnitude from 1, the second-largest root magnitude,
 and the coefficient c of tau * dx.  Float mode prints 4 decimal places;
-``--rational`` switches the formula pipeline to exact arithmetic and
+``--rational`` rebuilds each table row's formula in exact arithmetic and
 prints p and c as lowest-term fractions, while the root magnitudes,
-algebraic numbers, stay 4-decimal floats.  ``--format json`` emits one
+algebraic numbers, stay 4-decimal floats; json and csv rows keep their
+floats.  ``--format json`` emits one
 JSON object per row with full-precision floats; identical invocations with
 the same --rng-seed produce byte-identical output.
 
@@ -78,14 +79,26 @@ def _vector(text: str) -> list:
     return [_fraction(t) for t in toks]
 
 
-def _float_vector(text: str) -> list:
-    """argparse type: a ``_vector`` whose entries are also used as floats."""
+def _poly(text: str) -> list:
+    """argparse type: a ``_vector`` of two or more polynomial coefficients,
+    highest power first, the first nonzero."""
     vec = _vector(text)
-    try:
-        list(map(float, vec))
-    except OverflowError:
-        raise argparse.ArgumentTypeError(f"too large for a float: {text}") from None
+    if len(vec) < 2 or vec[0] == 0:
+        raise argparse.ArgumentTypeError(
+            f"need two or more coefficients, the first nonzero: {text}")
     return vec
+
+
+def _floats(parse):
+    """argparse type: what ``parse`` returns, whose entries are also used as floats."""
+    def parse_floats(text: str) -> list:
+        vec = parse(text)
+        try:
+            list(map(float, vec))
+        except OverflowError:
+            raise argparse.ArgumentTypeError(f"too large for a float: {text}") from None
+        return vec
+    return parse_floats
 
 
 def _table_line(cand: Candidate, exact: Optional[DifferenceFormula]) -> str:
@@ -126,8 +139,8 @@ def _csv_line(dims: Dimensions, cand: Candidate) -> str:
 
 def _dims(parser: argparse.ArgumentParser, args) -> Dimensions:
     try:
-        return Dimensions(args.k, args.s, allow_large_k=args.allow_large_k)
-    except (TypeError, ValueError) as exc:
+        return Dimensions(args.k, args.s)
+    except ValueError as exc:
         parser.error(str(exc))
 
 
@@ -173,13 +186,8 @@ def cmd_discover(args, parser: argparse.ArgumentParser) -> int:
     if init_fracs is not None and len(init_fracs) != dims.s:
         parser.error(f"--init-seed has {len(init_fracs)} entries, expected s = {dims.s}")
     try:
-        config = SearchConfig(
-            dims=dims,
-            runs=args.runs,
-            restarts=args.restarts,
-            rng_seed=args.rng_seed,
-            perturb_scale=args.perturb_scale,
-        )
+        config = SearchConfig(dims=dims, runs=args.runs, restarts=args.restarts,
+                              rng_seed=args.rng_seed)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -233,8 +241,6 @@ def cmd_analyze(args, parser: argparse.ArgumentParser) -> int:
     coeffs = args.poly
     if coeffs is not None:
         _reject_ignored(parser, args, ("--k", "--s"), "with --poly")
-        if coeffs[0] == 0:
-            parser.error("--poly: leading coefficient must be nonzero")
         print("polynomial:", " ".join(str(v) for v in coeffs), file=out)
         _print_report([float(v) for v in coeffs], out)
         return 0
@@ -279,8 +285,6 @@ def cmd_order_check(args, parser: argparse.ArgumentParser) -> int:
         _reject_ignored(parser, args, ("--seed", "--k", "--s"), "with --poly")
         if args.c is None or args.claimed is None:
             parser.error("--poly needs --c and --claimed")
-        if coeffs[0] == 0:
-            parser.error("--poly: leading coefficient must be nonzero")
         # --c is the tau*dx weight on the same scale as --poly, so both are
         # normalized by the leading coefficient together, and the order fit
         # takes them as floats.
@@ -346,32 +350,28 @@ def build_parser() -> argparse.ArgumentParser:
     def add_dims(p, required=True):
         p.add_argument("--k", type=int, required=required, help="derivative orders to cancel")
         p.add_argument("--s", type=int, required=required, help="seed length")
-        p.add_argument(
-            "--allow-large-k",
-            action="store_true",
-            help="allow k > 8, where the float search is ill-conditioned",
-        )
 
     d = sub.add_parser("discover", help="randomized search for convergent formulas")
     add_dims(d)
     d.add_argument("--runs", type=int, default=20, help="outer-loop runs")
     d.add_argument("--restarts", type=int, default=10, help="inner restarts per run")
     d.add_argument("--rng-seed", type=int, default=0, help="reproducibility seed")
-    d.add_argument("--init-seed", type=_float_vector,
+    d.add_argument("--init-seed", type=_floats(_vector),
                    help="comma-separated start seed for the first run")
-    d.add_argument("--perturb-scale", type=float, default=0.1)
-    d.add_argument("--rational", action="store_true", help="exact-arithmetic output")
+    d.add_argument("--rational", action="store_true",
+                   help="table rows print p and c as exact fractions; "
+                   "json and csv rows keep their floats")
     d.add_argument("--format", choices=("table", "json", "csv"), default="table")
     d.add_argument("--output", help="write result rows to this file instead of stdout")
-    d.set_defaults(func=cmd_discover)
+    d.set_defaults(func=cmd_discover, parser=d)
 
     a = sub.add_parser("analyze", help="root report for a polynomial or a seed")
     g = a.add_mutually_exclusive_group(required=True)
-    g.add_argument("--poly", type=_float_vector,
+    g.add_argument("--poly", type=_floats(_poly),
                    help="comma-separated polynomial, highest power first")
     g.add_argument("--seed", type=_vector, help="comma-separated seed (requires --k/--s)")
     add_dims(a, required=False)
-    a.set_defaults(func=cmd_analyze)
+    a.set_defaults(func=cmd_analyze, parser=a)
 
     v = sub.add_parser("validate-known", help="check the built-in formula catalog")
     v.add_argument("--json", action="store_true", help="machine-readable report")
@@ -380,17 +380,17 @@ def build_parser() -> argparse.ArgumentParser:
         choices=tuple("ABCDEF"),
         help="deliberately break one entry (negative control)",
     )
-    v.set_defaults(func=cmd_validate_known)
+    v.set_defaults(func=cmd_validate_known, parser=v)
 
     o = sub.add_parser("order-check", help="empirical truncation-order measurement")
-    o.add_argument("--poly", type=_vector,
+    o.add_argument("--poly", type=_poly,
                    help="comma-separated polynomial, highest power first")
     o.add_argument("--c", type=_fraction, help="derivative weight for --poly")
     o.add_argument("--claimed", type=int, help="claimed truncation order")
     o.add_argument("--seed", type=_vector, help="comma-separated seed (requires --k/--s)")
     add_dims(o, required=False)
     o.add_argument("--json", action="store_true")
-    o.set_defaults(func=cmd_order_check)
+    o.set_defaults(func=cmd_order_check, parser=o)
 
     return parser
 
@@ -408,10 +408,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     call, so that repeated in-process calls do not pay for rebuilding it.
     """
     raw = list(sys.argv[1:] if argv is None else argv)
-    parser = _shared_parser()
-    args = parser.parse_args(_join_value_flags(raw))
+    args = _shared_parser().parse_args(_join_value_flags(raw))
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -46,9 +46,9 @@ polynomial coefficients.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence
 
@@ -61,6 +61,8 @@ __all__ = [
     "DEDUP_TOL",
     "STALL_ITERS",
     "NM_MAX_ITER",
+    "K_LIMIT",
+    "PERTURB_SCALE",
     "NM_TOL_X",
     "NM_TOL_F",
     "SearchConfig",
@@ -83,6 +85,13 @@ STALL_ITERS = 200
 # Nelder-Mead iteration cap of every polish.
 NM_MAX_ITER = 2000
 
+# Above this k the float search is ill-conditioned: the entries of B and the
+# condition of the seed -> polynomial map grow fast.
+K_LIMIT = 8
+
+# Inner restarts perturb the run's best seed by this much (see perturb).
+PERTURB_SCALE = 0.1
+
 # Nelder-Mead has converged once its simplex spans at most NM_TOL_X in every
 # coordinate and at most NM_TOL_F in value.
 NM_TOL_X = 1e-8
@@ -92,14 +101,14 @@ NM_TOL_F = 1e-10
 @dataclass(frozen=True)
 class SearchConfig:
     """One discovery session: its dimensions, outer runs and inner restarts
-    per run, rng seed and perturbation scale (relative to the largest seed
-    entry).  The Nelder-Mead iteration cap and the penalty are constants."""
+    per run, and rng seed.  The Nelder-Mead iteration cap, the penalty and
+    the perturbation scale are constants.  Dimensions that the search
+    rarely solves, k > K_LIMIT or s < k, warn at the caller's line."""
 
     dims: Dimensions
     runs: int = 100
     restarts: int = 10
     rng_seed: int = 0
-    perturb_scale: float = 0.1
     nm_max_iter: ClassVar[int] = NM_MAX_ITER
     penalty: ClassVar[float] = PENALTY
 
@@ -107,8 +116,13 @@ class SearchConfig:
         for name in ("runs", "restarts"):
             _check_int(name, getattr(self, name), 1)
         _check_int("rng_seed", self.rng_seed, 0)
-        if not 0 < self.perturb_scale < math.inf:  # NaN fails too
-            raise ValueError(f"perturb_scale must be positive and finite: {self.perturb_scale}")
+        k, s = self.dims.k, self.dims.s
+        if k > K_LIMIT:
+            warnings.warn(f"k = {k} > K_LIMIT = {K_LIMIT}: the float search is "
+                          "ill-conditioned there and rarely finds a formula", stacklevel=3)
+        if s < k:
+            warnings.warn(f"s = {s} < k = {k}: seeds shorter than k rarely reach "
+                          "convergent formulas; s >= k is recommended", stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -386,7 +400,7 @@ def _run_outer(
     while budget > 0 and inner < inner_cap:
         inner += 1
         budget -= 1
-        y = perturb(best_y, rng, cfg.perturb_scale)
+        y = perturb(best_y, rng, PERTURB_SCALE)
         fx, x, cand = attempt(y, inner)
         if fx < best_f:
             best_f, best_y = fx, x

@@ -27,16 +27,17 @@ exact on polynomials of degree <= k+1.
 Matrix build, echelon reduction, and the exact formula path all use
 ``fractions.Fraction``: the entries are factorial-denominator rationals and
 exact arithmetic is what makes the structural identities p(1) = 0 and
-p'(1) = c hold identically.  A float64 mirror of the seed-to-polynomial map
-feeds the root-magnitude minimization, which only needs speed.
+p'(1) = c hold identically, at any k and s.  A float64 mirror of the
+seed-to-polynomial map feeds the root-magnitude minimization, which only
+needs speed; its conditioning limits, and the advice that follows from
+them, belong to the search (``search.SearchConfig``), not to this layer.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence, Union
@@ -44,7 +45,6 @@ from typing import Sequence, Union
 import numpy as np
 
 __all__ = [
-    "K_LIMIT",
     "Dimensions",
     "EchelonBlock",
     "DifferenceFormula",
@@ -56,10 +56,6 @@ __all__ = [
     "echelon_block",
     "seed_to_formula",
 ]
-
-# Above this k the float search is ill-conditioned (the entries of B and the
-# condition of the seed -> polynomial map grow fast); override per instance.
-K_LIMIT = 8
 
 # A float-path null vector is unusable when its leading entry is this small
 # relative to the largest entry.
@@ -98,27 +94,16 @@ class Dimensions:
     k is the number of derivative orders to cancel (orders 2 .. k+1), s the
     seed length.  Everything else is derived: the formula reaches back to
     x_{j-ell} with ell = k+s-1, its characteristic polynomial has degree
-    k+s, and the nominal truncation order is k+2.
+    k+s, and the nominal truncation order is k+2.  Any positive k and s are
+    valid; ``search.SearchConfig`` warns about those the search rarely solves.
     """
 
     k: int
     s: int
-    allow_large_k: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_int("k", self.k, 1)
         _check_int("s", self.s, 1)
-        if self.k > K_LIMIT and not self.allow_large_k:
-            raise ValueError(
-                f"k = {self.k} exceeds k <= {K_LIMIT}, beyond which the float "
-                "search is ill-conditioned; pass allow_large_k=True to override"
-            )
-        if self.s < self.k:
-            warnings.warn(
-                f"s = {self.s} < k = {self.k}: seeds shorter than k rarely reach "
-                "convergent formulas; s >= k is recommended",
-                stacklevel=2,
-            )
 
     @property
     def ell(self) -> int:

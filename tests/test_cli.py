@@ -6,12 +6,11 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from fdforge import Dimensions, analyze_formula, cli, seed_to_formula
-
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 
 def run_cli(*args, env_extra=None, timeout=180):
@@ -169,6 +168,18 @@ def test_analyze_seed_exact_arithmetic():
     assert "convergent:       yes" in r.stdout
 
 
+def test_analyze_seed_beyond_the_search_k_limit_is_exact(capsys):
+    # the exact path has no k limit: K_LIMIT advises the float search only
+    assert cli.main(["analyze", "--seed=1,2,3,4,5,6,7,8,9", "--k", "9", "--s", "9"]) == 0
+    out = dict(line.split(":", 1) for line in capsys.readouterr().out.splitlines()
+               if ":" in line)
+    p = [Fraction(v) for v in out["p (exact)"].split()]
+    c = Fraction(out["c (exact)"])
+    assert len(p) == 19
+    assert sum(p) == 0  # p(1) = 0
+    assert sum((18 - i) * v for i, v in enumerate(p)) == c  # p'(1) = c
+
+
 def test_analyze_nonnormalizable_seed_fails_cleanly():
     r = run_cli("analyze", "--seed=-9,2", "--k", "2", "--s", "2")
     assert r.returncode == 1
@@ -273,8 +284,9 @@ def test_malformed_number_is_a_usage_error_naming_the_flag(flag, bad, capsys):
 @pytest.mark.parametrize("argv, name", [
     (("order-check", "--poly=1,0,-1", "--c", "2", "--claimed", "1"), "--claimed"),
     (("order-check", "--seed=-5,2", "--k", "2", "--s", "2", "--claimed", "1"), "--claimed"),
-    (("discover", "--k", "2", "--s", "2", "--perturb-scale", "nan"), "perturb_scale"),
-    (("discover", "--k", "2", "--s", "2", "--perturb-scale", "inf"), "perturb_scale"),
+    # a polynomial has two or more coefficients, the first nonzero
+    (("analyze", "--poly=5"), "--poly"),
+    (("analyze", "--poly=0,1"), "--poly"),
     (("discover", "--k", "2", "--s", "2", "--rng-seed", "-1"), "rng_seed"),
     (("discover", "--k", "2", "--s", "2", "--init-seed=1e400,1"), "--init-seed"),
     (("analyze", "--poly=1e400,1"), "--poly"),
@@ -289,12 +301,17 @@ def test_malformed_number_is_a_usage_error_naming_the_flag(flag, bad, capsys):
     # exact values that overflow a float once normalized by p[0]
     (("order-check", "--poly=1e-300,-1e300", "--c", "1", "--claimed", "2"), "--poly"),
     (("order-check", "--poly=1e-300,-1e-300", "--c", "1e300", "--claimed", "2"), "--c"),
+    # a one-coefficient polynomial, and a size rejected after parsing
+    (("order-check", "--poly=5", "--c", "1", "--claimed", "2"), "--poly"),
+    (("discover", "--k", "0", "--s", "2"), "k must be"),
 ])
 def test_out_of_range_value_is_a_usage_error(argv, name, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
     assert exc.value.code == 2
-    assert name in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: fdforge {argv[0]} ")  # the subcommand's usage
+    assert name in err
 
 
 def test_main_reuses_one_parser_and_prints_what_a_fresh_process_prints(monkeypatch):

@@ -1,10 +1,12 @@
 """Nelder-Mead, randomized helpers, and the discovery double loop."""
 
+import contextlib
 import multiprocessing
 import os
 import resource
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from unittest import mock
@@ -16,6 +18,7 @@ from scipy.optimize import minimize
 from fdforge import search
 from fdforge.charpoly import PENALTY, analyze_formula, objective_function
 from fdforge.search import (
+    K_LIMIT,
     STALL_ITERS,
     SearchConfig,
     discover,
@@ -391,11 +394,6 @@ def test_config_validation():
         SearchConfig(dims=d, runs=0, restarts=1)
     with pytest.raises(ValueError):
         SearchConfig(dims=d, runs=1, restarts=0)
-    with pytest.raises(ValueError):
-        SearchConfig(dims=d, runs=1, restarts=1, perturb_scale=0.0)
-    for bad in (float("nan"), float("inf")):  # nan <= 0 is False
-        with pytest.raises(ValueError, match="perturb_scale"):
-            SearchConfig(dims=d, runs=1, restarts=1, perturb_scale=bad)
     # counts are integers: NumPy integers pass, floats and strings do not
     SearchConfig(dims=d, runs=np.int64(2), restarts=np.int32(1))
     for bad in ({"runs": 2.5}, {"runs": 2.0}, {"restarts": 1.5},
@@ -407,11 +405,29 @@ def test_config_validation():
     for bad in (-1, 1.5, None):
         with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
             SearchConfig(dims=d, runs=1, restarts=1, rng_seed=bad)
-    # the iteration cap and the penalty are constants, not settings
+    # the iteration cap, the penalty and the perturbation scale are
+    # constants, not settings
     cfg = SearchConfig(dims=d, runs=1, restarts=1)
     assert cfg.nm_max_iter == 2000 and cfg.penalty == PENALTY
-    assert [f.name for f in fields(cfg)] == ["dims", "runs", "restarts", "rng_seed",
-                                             "perturb_scale"]
+    assert [f.name for f in fields(cfg)] == ["dims", "runs", "restarts", "rng_seed"]
+
+
+@pytest.mark.parametrize("k, s, match", [
+    (9, 9, "K_LIMIT = 8: the float search is ill-conditioned"),
+    (3, 2, "s >= k is recommended"),
+], ids=["k-limit", "s-below-k"])
+def test_config_warns_at_the_callers_line_about_dims_the_search_rarely_solves(k, s, match):
+    with pytest.warns(UserWarning, match=match) as record:
+        SearchConfig(dims=Dimensions(k, s))
+    assert len(record) == 1
+    assert record[0].filename == __file__
+
+
+def test_config_is_silent_up_to_the_k_limit_with_s_at_least_k():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        SearchConfig(dims=Dimensions(K_LIMIT, K_LIMIT))
+        SearchConfig(dims=Dimensions(1, 3))
 
 
 # ----------------------------------------------------------------- discover
@@ -464,9 +480,9 @@ def test_discover_single_entry_seed_runs_no_simplex(k, plateau):
     # formula, so an attempt scores its start point and Nelder-Mead does not
     # run.  The plateaus are those of the search over all of seed space to
     # rounding, as f(lam * y) = f(y) holds to 1e-12 relative.
-    with pytest.warns(UserWarning):  # s < k
-        dims = Dimensions(k, 1)
-    res = discover(SearchConfig(dims=dims, runs=2, restarts=2, rng_seed=0))
+    with pytest.warns(UserWarning, match="s >= k"):
+        cfg = SearchConfig(dims=Dimensions(k, 1), runs=2, restarts=2, rng_seed=0)
+    res = discover(cfg)
     assert res.attempts == 6
     assert res.candidates == ()
     assert res.failure_plateaus == pytest.approx((plateau, plateau), rel=1e-12, abs=0)
@@ -629,19 +645,15 @@ def bits(obj):
     return obj
 
 
-def single_entry_dims():
-    with pytest.warns(UserWarning):  # s < k
-        return Dimensions(2, 1)
-
-
 @pytest.mark.parametrize("dims, runs, init", [
     (Dimensions(4, 4), 4, None),
     (Dimensions(3, 3), 6, None),
-    (single_entry_dims(), 3, None),  # s = 1: Nelder-Mead does not run
+    (Dimensions(2, 1), 3, None),  # s = 1: Nelder-Mead does not run
     (Dimensions(2, 2), 3, [-5.0, 2.0]),
 ], ids=["4-4", "3-3", "2-1", "initial-seed"])
 def test_discover_results_do_not_depend_on_the_worker_count(monkeypatch, dims, runs, init):
-    cfg = SearchConfig(dims=dims, runs=runs, restarts=10, rng_seed=0)
+    with pytest.warns(UserWarning) if dims.s < dims.k else contextlib.nullcontext():
+        cfg = SearchConfig(dims=dims, runs=runs, restarts=10, rng_seed=0)
     results = []
     for workers in (1, 2):
         monkeypatch.setattr(search, "_worker_count", lambda runs: workers)

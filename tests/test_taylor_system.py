@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -46,17 +47,13 @@ def test_dimensions_rejects_nonpositive(k, s):
         Dimensions(k, s)
 
 
-def test_dimensions_warns_when_s_below_k():
-    with pytest.warns(UserWarning, match="s >= k is recommended"):
-        Dimensions(3, 2)
-
-
-def test_dimensions_k_cap():
-    Dimensions(8, 8)  # at the cap: fine
-    with pytest.raises(ValueError, match="allow_large_k"):
-        Dimensions(9, 9)
-    d = Dimensions(9, 9, allow_large_k=True)
-    assert d.degree == 18
+def test_dimensions_are_sizes_only_and_never_warn():
+    # s < k and large k are search advice (SearchConfig), not size errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Dimensions(3, 2).degree == 5
+        assert Dimensions(9, 9).degree == 18
+    assert [f.name for f in fields(Dimensions)] == ["k", "s"]
 
 
 # -------------------------------------------------------------- matrix build
@@ -281,9 +278,10 @@ def test_formula_scale_invariance_float():
 
 
 def test_structural_identities_exact_random():
-    # p(1) = 0 and p'(1) = c, exactly, across the dims grid
+    # p(1) = 0 and p'(1) = c, exactly, across the dims grid and at k beyond
+    # the search's K_LIMIT, which the exact path does not have
     rng = np.random.default_rng(4242)
-    for k, s in GRID:
+    for k, s in GRID + [(9, 9), (12, 12)]:
         d = Dimensions(k, s)
         for _ in range(10):
             y = [F(int(n), int(m)) for n, m in zip(
