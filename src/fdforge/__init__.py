@@ -2,7 +2,7 @@
 
 Construct look-ahead difference formulas from seed vectors (exact rational
 or float), classify their characteristic roots against the convergence
-root condition, discover new convergent formulas by randomized Nelder-Mead
+root condition, discover new convergent formulas by randomized BFGS
 minimization of the maximal root magnitude, and validate formulas through
 truncation-order measurement and recurrence simulation.
 """
@@ -31,7 +31,6 @@ from .search import (
     SearchConfig,
     Candidate,
     SearchResult,
-    nelder_mead,
     random_seed,
     perturb,
     discover,
@@ -73,7 +72,6 @@ __all__ = [
     "SearchConfig",
     "Candidate",
     "SearchResult",
-    "nelder_mead",
     "random_seed",
     "perturb",
     "discover",

@@ -22,14 +22,17 @@ a tiny relative perturbation of the input.  The residual contract checked
 in the test suite is |p(z)| <= 1e-8 * ||p||_1 * max(1,|z|)^n for every
 reported root z.
 
-The search entry point is :func:`objective_function`, which maps a seed to
-the maximum root magnitude of its formula and absorbs every degenerate
+The search scores a start point with :func:`objective_function`, which maps
+a seed to the maximum root magnitude of its formula, and polishes it with
+:func:`deflated_radius`, the largest root magnitude of p / (z - 1) and its
+gradient in the coordinates of the seed plane.  Both absorb every degenerate
 outcome into a large penalty so the optimizer sees a total function.
 """
 
 from __future__ import annotations
 
 import contextvars
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -56,6 +59,7 @@ __all__ = [
     "analyze",
     "analyze_formula",
     "objective_function",
+    "deflated_radius",
 ]
 
 # |z| within this of 1 counts as "on the unit circle".
@@ -232,3 +236,49 @@ def objective_function(dims: Dimensions) -> Callable[[np.ndarray], float]:
         return val if math.isfinite(val) else PENALTY
 
     return f
+
+
+def deflated_radius(dims: Dimensions) -> Callable[[np.ndarray], tuple]:
+    """z -> (h, grad h), h the largest root magnitude of r = p / (z - 1) at
+    the point z of the seed plane (``EchelonBlock.seed_plane``).
+
+    p's largest root magnitude is max(1, h), but h can fall below 1, so a
+    minimizer sees how far inside the disk the other roots are.  The tail of
+    r is r_p + R @ z (``EchelonBlock.deflated_plane``), so for a root l of r
+    with |l| = h, dl/dz = -(sum_j R[j] l^(m-1-j)) / r'(l), where
+    r'(l) = prod(l - other roots): one root solve per point.  Where several
+    roots share the largest magnitude this is the gradient of one of them,
+    as BFGS on nonsmooth functions expects.  A point whose tail or gradient
+    is not finite, or whose root solve fails, scores ``(PENALTY, None)``
+    silently.  Like ``objective_function``'s, each closure carries private
+    scratch buffers and context: give each thread its own.
+    """
+    r_p, r_z = echelon_block(dims).deflated_plane
+    m = r_p.size
+    neg_p, neg_z = -r_p, -r_z  # the companion tail is -r[1:]
+    neg_zc = neg_z.astype(complex)
+    comp = np.eye(m, k=-1, order="F")
+    tail = np.empty(m)
+    roots = np.empty(m, dtype=complex)
+    exponents = np.arange(m - 1, -1, -1)
+
+    def value_and_gradient(z: np.ndarray) -> tuple:
+        np.matmul(neg_z, z, out=tail)
+        np.add(tail, neg_p, out=tail)
+        if not np.isfinite(tail).all():
+            return PENALTY, None
+        try:
+            _companion_roots(tail, comp, roots)
+        except np.linalg.LinAlgError:
+            return PENALTY, None
+        mags = np.abs(roots)
+        i = mags.argmax()
+        h, root = float(mags[i]), roots[i]
+        gaps = root - roots
+        gaps[i] = 1.0
+        droot = (root ** exponents @ neg_zc) / gaps.prod()
+        grad = (root.conjugate() * droot).real / h
+        return (h, grad) if np.isfinite(grad).all() else (PENALTY, None)
+
+    with np.errstate(all="ignore"):  # powers of l may overflow, r'(l) vanish
+        return functools.partial(contextvars.copy_context().run, value_and_gradient)

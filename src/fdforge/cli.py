@@ -36,7 +36,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .charpoly import analyze
+from .charpoly import analyze, analyze_formula
 from .search import Candidate, SearchConfig, discover
 from .taylor_system import DifferenceFormula, Dimensions, seed_to_formula
 from .validation import catalog, empirical_order, validate_catalog
@@ -104,7 +104,7 @@ def _floats(parse):
 def _table_line(cand: Candidate, exact: Optional[DifferenceFormula]) -> str:
     """Table row of ``cand``: 4-decimal floats, with p and c as lowest-term
     fractions from ``exact``, its exact twin, when there is one."""
-    rep, fmt = cand.report, "{:.4f}".format
+    rep, fmt = analyze_formula(cand.formula), "{:.4f}".format
     if exact is None:
         p, c = map(fmt, cand.formula.p), fmt(cand.formula.c)
     else:
@@ -117,7 +117,7 @@ _CSV_HEADER = ",".join(_FIELDS)
 
 
 def _fields(dims: Dimensions, cand: Candidate) -> tuple:
-    f, rep = cand.formula, cand.report
+    f, rep = cand.formula, analyze_formula(cand.formula)
     return (dims.k, dims.s, list(f.p), f.c, rep.max_deviation, rep.second_magnitude,
             list(cand.seed_final), rep.convergent)
 

@@ -1,24 +1,31 @@
-"""Randomized Nelder-Mead discovery of convergent look-ahead formulas.
+"""Randomized BFGS discovery of convergent look-ahead formulas.
 
 For fixed dimensions (k, s) the map seed -> max root magnitude is piecewise
-smooth with a hard floor at 1 (the characteristic polynomial always has the
-root 1).  Convergent formulas live exactly on that floor, so discovery is
-global minimization: throw random Gaussian seeds at the landscape, polish
-each with derivative-free Nelder-Mead, and keep the minima that reach the
+smooth with a hard floor at 1 (the characteristic polynomial p always has
+the root 1).  Convergent formulas live exactly on that floor, so discovery
+is global minimization: throw random Gaussian seeds at the landscape,
+polish each with a local minimizer, and keep the minima that reach the
 floor and pass the root condition.
+
+The paper polishes with Nelder-Mead; only that local minimizer differs
+here.  It is BFGS with a weak Wolfe line search, which works on nonsmooth
+functions such as a root radius (Lewis & Overton, Math. Program. 141,
+2013), on h = max|roots of r| for r = p / (z - 1).  Unlike p's, r's largest
+root magnitude falls below 1 inside the convergent set, so a polish can
+stop once every root is strictly inside the disk, and its gradient costs
+no second root solve (``charpoly.deflated_radius``).  The verdict stays the
+classifier on p, whose roots ``analyze`` prints.
 
 The landscape is flat along every ray: the null vector is normalized by its
 leading entry q[0] = b·y (b = -B[0]), so f(lam * y) = f(y) for lam != 0.
-Nelder-Mead on all s seed coordinates would search that flat direction too,
-where it stalls and shrinks in place (McKinnon, SIAM J. Optim. 9(1), 1998).
-So it runs on the hyperplane b·y = 1 instead, in s-1 orthonormal
+So the polish runs on the hyperplane b·y = 1 instead, in s-1 orthonormal
 coordinates (``EchelonBlock.seed_plane``).  Seeds are still drawn and
 perturbed in seed space, and each start point y0 enters the plane as
 y0 / (b·y0), which spawns the same formula; one with b·y0 zero or not finite
 has no such multiple and enters as its orthogonal projection (which for a
 non-finite y0 scores the penalty everywhere).  At s = 1 the plane is a
-single point, every nonzero seed gives the same formula, and Nelder-Mead
-does not run.
+single point, every nonzero seed gives the same formula, and no polish
+runs.
 
 The search is a double loop.  Each outer run draws a fresh standard-normal
 seed and minimizes it; on immediate success the run is complete, otherwise
@@ -27,9 +34,9 @@ again, exploring the neighborhood of the most promising basin.  An inner
 restart that lands a new formula replenishes the restart budget (total
 inner attempts stay capped at twice the nominal restart count, so regions
 where a whole continuum of seeds is convergent still terminate); runs that
-end empty record their best objective value as a failure plateau — on hard
-dimension pairs these cluster just above 1, the signature of near-miss
-basins.
+end empty record their best value of max(1, h) as a failure plateau — on
+hard dimension pairs these cluster just above 1, the signature of
+near-miss basins.
 
 Reproducibility: every outer run owns a child of one ``SeedSequence``, so
 results are a pure function of the rng seed, and an outer run's outcome
@@ -46,6 +53,7 @@ polynomial coefficients.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import sys
 import warnings
@@ -54,21 +62,22 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .charpoly import PENALTY, RootReport, analyze_formula, objective_function
+from .charpoly import PENALTY, analyze_formula, deflated_radius, objective_function
 from .taylor_system import DifferenceFormula, Dimensions, _check_int, echelon_block, seed_to_formula
 
 __all__ = [
     "DEDUP_TOL",
-    "STALL_ITERS",
-    "NM_MAX_ITER",
+    "MAX_ITER",
     "K_LIMIT",
     "PERTURB_SCALE",
-    "NM_TOL_X",
-    "NM_TOL_F",
+    "FLOOR_MARGIN",
+    "WOLFE_C1",
+    "WOLFE_C2",
+    "LINE_SEARCH_TRIALS",
     "SearchConfig",
     "Candidate",
     "SearchResult",
-    "nelder_mead",
+    "bfgs",
     "random_seed",
     "perturb",
     "discover",
@@ -78,12 +87,8 @@ __all__ = [
 # per coefficient) are the same discovery.
 DEDUP_TOL = 1e-8
 
-# Nelder-Mead stops once its best vertex has stayed put this many
-# consecutive iterations (see nelder_mead).
-STALL_ITERS = 200
-
-# Nelder-Mead iteration cap of every polish.
-NM_MAX_ITER = 2000
+# BFGS step cap of every polish.
+MAX_ITER = 200
 
 # Above this k the float search is ill-conditioned: the entries of B and the
 # condition of the seed -> polynomial map grow fast.
@@ -92,24 +97,30 @@ K_LIMIT = 8
 # Inner restarts perturb the run's best seed by this much (see perturb).
 PERTURB_SCALE = 0.1
 
-# Nelder-Mead has converged once its simplex spans at most NM_TOL_X in every
-# coordinate and at most NM_TOL_F in value.
-NM_TOL_X = 1e-8
-NM_TOL_F = 1e-10
+# A polish has reached the floor once every root of r = p / (z - 1) lies
+# this far inside the unit circle.
+FLOOR_MARGIN = 1e-6
+
+# Weak Wolfe line search of bfgs: sufficient decrease, curvature, and the
+# number of trial steps before it gives up.
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
+LINE_SEARCH_TRIALS = 30
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     """One discovery session: its dimensions, outer runs and inner restarts
-    per run, and rng seed.  The Nelder-Mead iteration cap, the penalty and
-    the perturbation scale are constants.  Dimensions that the search
-    rarely solves, k > K_LIMIT or s < k, warn at the caller's line."""
+    per run, and rng seed.  The polish's step cap, the penalty and the
+    perturbation scale are constants.  Dimensions that the search rarely
+    solves, k > K_LIMIT or s < k, warn at the caller's line."""
 
     dims: Dimensions
     runs: int = 100
     restarts: int = 10
     rng_seed: int = 0
-    nm_max_iter: ClassVar[int] = NM_MAX_ITER
+    # The BFGS step cap; the benchmark reads it under this name.
+    nm_max_iter: ClassVar[int] = MAX_ITER
     penalty: ClassVar[float] = PENALTY
 
     def __post_init__(self):
@@ -125,24 +136,25 @@ class SearchConfig:
                           "convergent formulas; s >= k is recommended", stacklevel=3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     """One convergent formula as discovered, with the seed and run that produced it.
 
-    seed_initial is the attempt's start point and seed_final the seed whose
-    float formula is ``formula``: the start point itself when it satisfied
-    the root condition already (``nm_iterations == 0``), else the polished
-    point on the seed hyperplane b·y = 1 (b = -B[0]).  Any nonzero multiple
-    of seed_final spawns the same formula.
+    seed_final is the seed whose float formula is ``formula``: the
+    attempt's start point itself when it satisfied the root condition
+    already (``iterations == 0``), else the polished point on the seed
+    hyperplane b·y = 1 (b = -B[0]).  Any nonzero multiple of seed_final
+    spawns the same formula.  iterations counts the polish's BFGS steps.
+    A search may hold thousands of candidates, so each keeps only what
+    cannot be recomputed: ``analyze_formula(formula)`` gives the root
+    report again, to the bit.
     """
 
-    seed_initial: tuple
     seed_final: tuple
     formula: DifferenceFormula
-    report: RootReport
     outer_index: int
     inner_index: int
-    nm_iterations: int
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -155,132 +167,53 @@ class SearchResult:
     failure_plateaus: tuple
 
 
-def _order(fsim: list) -> list:
-    """``np.argsort(fsim, kind="stable")`` as a list: ascending, ties in
-    index order, NaN last."""
-    return sorted(range(len(fsim)), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
+def bfgs(fg, z0: np.ndarray, *, max_iter: int = MAX_ITER):
+    """Minimize from ``z0`` by BFGS with a weak Wolfe line search, as Lewis &
+    Overton (Math. Program. 141, 2013) run it on nonsmooth functions such as
+    a root radius; returns (z, h, nit): the last accepted point, its value
+    and the number of steps taken.
 
-
-def nelder_mead(f, x0: np.ndarray, *, max_iter: int = NM_MAX_ITER):
-    """Minimize ``f`` from ``x0`` with Nelder-Mead; returns (x, fun, nit).
-
-    Standard simplex coefficients (reflection 1, expansion 2, contraction
-    0.5, shrink 0.5), initial simplex displacing each coordinate by 5%
-    (0.00025 when the coordinate is zero), termination when the simplex
-    collapses below NM_TOL_X in x AND NM_TOL_F in f, or after max_iter
-    iterations.  These are the steps of SciPy's
-    ``minimize(method="Nelder-Mead", adaptive=False)`` with ``xatol=NM_TOL_X``,
-    ``fatol=NM_TOL_F`` and ``maxiter=max_iter`` (its vertex sort made
-    stable), taken in the same order on the same floats, with ``nit``
-    counted the same way and ``f`` called once per point, on a float array
-    of x0's size.
-
-    The simplex is kept as lists of Python floats, which for the few
-    coordinates of a seed costs less than NumPy's per-call overhead, and
-    every operation keeps NumPy's order: the centroid adds the rows in
-    order and then divides by n (``np.add.reduce`` over rows is
-    sequential; Python's ``sum`` is not used, as from Python 3.12 it
-    compensates), and the points use the same folded constants.  The
-    vertices are reordered by a stable sort that puts NaN last, so a tie
-    resolves the same way on every host.
-
-    One exit is added: stop once the best vertex has not changed for
-    ``STALL_ITERS`` consecutive iterations.  Plateaus make NM stall like
-    this (McKinnon, SIAM J. Optim. 9(1), 1998), shrinking in place for
-    the rest of ``max_iter`` at about 4.6 evaluations per iteration.  The
-    best vertex only changes when the reorder moves another vertex to the
-    front, so an unchanged front row is an unchanged ``(x, fun)``: the
-    exit returns exactly what the uncapped run returns, unless that run
-    would have moved its best vertex again after more than ``STALL_ITERS``
-    idle iterations.  (The test is on the vertex, not on a strict decrease
-    of ``fun``, because the reorder may swap tied vertices.)  Over the
-    1,154 polishes of the searches at (3,3), (4,4) and (5,5) with runs 20,
-    restarts 10 and rng seeds 0 and 1, the longest idle stretch that a
-    later move ended was 100 iterations.
-
-    A shrink can also land the simplex back on itself bit for bit once it
-    has collapsed to the last bit (Lagarias et al., SIAM J. Optim. 9(1),
-    1998).  Only a shrink can: an accepted reflection, expansion or
-    contraction replaces the worst value by a strictly lower one, so the
-    sorted values, and with a pure ``f`` the vertices, change.  The loop
-    state is then a fixed point: ``f`` is pure, the termination test has
-    already failed on it, and every later iteration repeats this one with
-    the same reorder ``ind``.  So the loop returns at once what replaying
-    it would: ``(sim[0], min(fsim))`` with
-    ``nit = min(nit + STALL_ITERS - idle, max_iter)`` when ``ind[0] == 0``
-    (the stall exit or the cap ends the replay) and ``max_iter`` otherwise
-    (every replayed iteration resets ``idle``).  The vertices are compared
-    as bytes, because a NaN coordinate never equals itself under ``==``.
+    ``fg(z)`` returns the value and gradient at z, or ``(PENALTY, None)``.
+    The inverse Hessian starts as I and is reset to I when -H g is not a
+    descent direction; its update is skipped unless s·y > 0.  The line
+    search doubles or bisects the step for at most LINE_SEARCH_TRIALS trials
+    until sufficient decrease (WOLFE_C1) and weak curvature (WOLFE_C2) hold;
+    a penalty trial counts as too long.  The polish stops at h <= 1 -
+    FLOOR_MARGIN, at a penalty start, when the line search fails or the
+    gradient vanishes, or after ``max_iter`` steps.
     """
-    x0 = np.asarray(x0, dtype=float).ravel().tolist()
-    n = len(x0)
-    if n == 0:
-        raise ValueError("x0 must have at least one coordinate")
-    sim = [x0]
-    for k in range(n):
-        y = x0.copy()
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim.append(y)
-    fsim = [f(np.array(v)) for v in sim]
-    ind = _order(fsim)
-    sim = [sim[i] for i in ind]
-    fsim = [fsim[i] for i in ind]
-
-    nit = 1
-    idle = 0
-    while nit < max_iter:
-        best, fbest = sim[0], fsim[0]
-        if (all(abs(fbest - v) <= NM_TOL_F for v in fsim[1:])
-                and all(abs(a - b) <= NM_TOL_X for row in sim[1:] for a, b in zip(row, best))):
+    z = np.asarray(z0, dtype=float)
+    h, g = fg(z)
+    eye = np.eye(z.size)
+    inv_h, nit = eye, 0
+    while nit < max_iter and g is not None and h > 1.0 - FLOOR_MARGIN:
+        d = -inv_h @ g
+        if not g @ d < 0.0:
+            inv_h, d = eye, -g
+        slope = g @ d
+        if not slope < 0.0:  # the gradient vanishes
             break
-        before = None
-        xbar = sim[0]
-        for row in sim[1:-1]:
-            xbar = [a + b for a, b in zip(xbar, row)]
-        xbar = [a / n for a in xbar]
-        worst = sim[-1]
-        # SciPy's forms such as (1 + rho) * xbar - rho * x with rho = 1,
-        # chi = 2 and psi = sigma = 0.5 folded in; every folded constant is
-        # exact, so the points keep their bits.
-        xr = [2 * a - b for a, b in zip(xbar, worst)]
-        fxr = f(np.array(xr))
-        if fxr < fbest:
-            xe = [3 * a - 2 * b for a, b in zip(xbar, worst)]
-            fxe = f(np.array(xe))
-            if fxe < fxr:
-                sim[-1], fsim[-1] = xe, fxe
+        lo, hi, t = 0.0, math.inf, 1.0
+        for _ in range(LINE_SEARCH_TRIALS):
+            z_t = z + t * d
+            h_t, g_t = fg(z_t)
+            if g_t is None or not h_t <= h + WOLFE_C1 * t * slope:
+                hi = t
+            elif g_t @ d < WOLFE_C2 * slope:
+                lo = t
             else:
-                sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
+                break
+            t = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
         else:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, worst)]
-                fxc = f(np.array(xc))
-                accept = fxc <= fxr
-            else:  # inside contraction
-                xc = [0.5 * a + 0.5 * b for a, b in zip(xbar, worst)]
-                fxc = f(np.array(xc))
-                accept = fxc < fsim[-1]
-            if accept:
-                sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink toward the best vertex
-                before = np.array(sim).tobytes()
-                for j in range(1, n + 1):
-                    sim[j] = [a + 0.5 * (b - a) for a, b in zip(best, sim[j])]
-                    fsim[j] = f(np.array(sim[j]))
+            break
+        step, dg = z_t - z, g_t - g
+        sy = step @ dg
+        if sy > 0.0:
+            v = eye - np.outer(step, dg) / sy
+            inv_h = v @ inv_h @ v.T + np.outer(step, step) / sy
+        z, h, g = z_t, h_t, g_t
         nit += 1
-        ind = _order(fsim)
-        sim = [sim[i] for i in ind]
-        fsim = [fsim[i] for i in ind]
-        idle = 0 if ind[0] else idle + 1
-        if idle >= STALL_ITERS:
-            break
-        if before is not None and np.array(sim).tobytes() == before:
-            # Fixed point: every later iteration repeats this one.
-            nit = max_iter if ind[0] else min(nit + STALL_ITERS - idle, max_iter)
-            break
-    return np.array(sim[0]), float(np.min(fsim)), nit
+    return z, h, nit
 
 
 def random_seed(s: int, rng: np.random.Generator) -> np.ndarray:
@@ -319,24 +252,20 @@ def _run_outer(
     ss: np.random.SeedSequence,
     initial_seed: Optional[np.ndarray],
 ):
-    """One outer run: fresh seed, NM polish, perturbation restarts.
+    """One outer run: fresh seed, BFGS polish, perturbation restarts.
 
     Returns (candidates, attempts, plateau) where plateau is the best
-    objective value when the run found nothing (None otherwise).
+    largest root magnitude of p (max(1, h) after a polish) when the run
+    found nothing (None otherwise).
     """
     rng = np.random.default_rng(ss)
     f = objective_function(cfg.dims)
-    # NM runs in the coordinates z of the seed hyperplane b·y = 1, where
-    # y = y_p + plane @ z (see the module docstring).
+    fg = deflated_radius(cfg.dims)
+    # The polish runs in the coordinates z of the seed hyperplane b·y = 1,
+    # where y = y_p + plane @ z (see the module docstring).
     block = echelon_block(cfg.dims)
     b = -block.b_float[0]
     y_p, plane = block.seed_plane
-
-    def lift(z: np.ndarray) -> np.ndarray:
-        return y_p + plane @ z
-
-    def g(z: np.ndarray) -> float:
-        return f(lift(z))
 
     def onto_plane(y0: np.ndarray) -> np.ndarray:
         """z of the start point y0 / (b·y0), which spawns the formula of y0;
@@ -347,39 +276,38 @@ def _run_outer(
     found: list[Candidate] = []
     attempts = 0
 
-    def classify(y0: np.ndarray, y: np.ndarray, fy: float, nit: int, inner_index: int):
-        """Candidate for seed ``y`` if it is convergent, else None.  A value
-        fy = f(y) below the penalty means the float seed path cannot raise."""
-        if fy >= PENALTY:
+    def classify(y: np.ndarray, nit: int, inner_index: int):
+        """Candidate for seed ``y`` if it is convergent, else None."""
+        try:
+            formula = seed_to_formula(cfg.dims, y)
+            convergent = analyze_formula(formula).convergent
+        except ValueError:  # the seed breaks the float path: it scores PENALTY
             return None
-        formula = seed_to_formula(cfg.dims, y)
-        report = analyze_formula(formula)
-        if not report.convergent:
+        if not convergent:
             return None
         return Candidate(
-            seed_initial=tuple(float(v) for v in y0),
             seed_final=tuple(float(v) for v in y),
             formula=formula,
-            report=report,
             outer_index=outer_index,
             inner_index=inner_index,
-            nm_iterations=nit,
+            iterations=nit,
         )
 
     def attempt(y0: np.ndarray, inner_index: int):
-        """Polish one start point; returns (f_min, y_min, candidate|None)."""
+        """Polish one start point; returns (value, seed, candidate|None), the
+        value being p's largest root magnitude, max(1, h) after a polish."""
         nonlocal attempts
         attempts += 1
         # A start point that already satisfies the root condition is a
-        # finished formula: record it verbatim (zero NM iterations) instead
-        # of letting the minimizer wander it off its exact coefficients.
-        x, fx, nit = y0, f(y0), 0
-        cand = classify(y0, x, fx, nit, inner_index)
+        # finished formula: record it verbatim (zero iterations) instead of
+        # letting the minimizer move it off its exact coefficients.
+        x, fx = y0, f(y0)
+        cand = classify(x, 0, inner_index)
         # At s = 1 the plane is one point: every nonzero seed is one formula.
         if cand is None and plane.shape[1]:
-            z, fx, nit = nelder_mead(g, onto_plane(y0))
-            x = lift(z)
-            cand = classify(y0, x, fx, nit, inner_index)
+            z, h, nit = bfgs(fg, onto_plane(y0))
+            x, fx = y_p + plane @ z, max(1.0, h)
+            cand = classify(x, nit, inner_index)
         return fx, x, cand
 
     y0 = random_seed(cfg.dims.s, rng) if initial_seed is None else np.asarray(

@@ -149,8 +149,25 @@ class EchelonBlock:
         y_p.flags.writeable = n.flags.writeable = False
         return y_p, n
 
+    @cached_property
+    def deflated_plane(self) -> tuple:
+        """(r_p, R): on the seed plane y = y_p + N @ z, the tail r[1:] of the
+        deflated polynomial r = p / (z - 1) is r_p + R @ z.  There q[0] = 1,
+        so r, the prefix sums of p = [1, -sum(q), q[1:]], is minus the suffix
+        sums of q[1:] = [-B[1:] @ y, y].  Both arrays are read-only.
+        """
+        neg_b = -self.b_float[1:]
 
-@dataclass(frozen=True)
+        def tail(v):
+            q_rest = np.concatenate([neg_b @ v, v])
+            return np.ascontiguousarray(-np.cumsum(q_rest[::-1], axis=0)[::-1])
+
+        r_p, r = map(tail, self.seed_plane)
+        r_p.flags.writeable = r.flags.writeable = False
+        return r_p, r
+
+
+@dataclass(frozen=True, slots=True)
 class DifferenceFormula:
     """A look-ahead difference formula in characteristic polynomial form.
 

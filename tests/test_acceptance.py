@@ -301,8 +301,8 @@ def test_criterion_8_byte_identical_json(capsys, tmp_path):
 
 def test_seed_66_is_recorded_verbatim(search_66_seeded):
     # SEED_66 is convergent as pinned, so discover records it before any
-    # Nelder-Mead step: the (6,6) formula is the pinned seed's own.
+    # polish step: the (6,6) formula is the pinned seed's own.
     res, _ = search_66_seeded
     cand = res.candidates[0]
-    assert cand.nm_iterations == 0
-    assert cand.seed_final == cand.seed_initial == SEED_66
+    assert cand.iterations == 0
+    assert cand.seed_final == SEED_66

@@ -1,4 +1,4 @@
-"""Nelder-Mead, randomized helpers, and the discovery double loop."""
+"""The BFGS polish, randomized helpers, and the discovery double loop."""
 
 import contextlib
 import multiprocessing
@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -13,293 +14,291 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from fdforge import search
-from fdforge.charpoly import PENALTY, analyze_formula, objective_function
+from fdforge.charpoly import PENALTY, analyze_formula, deflated_radius, objective_function
 from fdforge.search import (
+    FLOOR_MARGIN,
     K_LIMIT,
-    STALL_ITERS,
+    LINE_SEARCH_TRIALS,
+    MAX_ITER,
+    WOLFE_C1,
+    WOLFE_C2,
     SearchConfig,
+    bfgs,
     discover,
-    nelder_mead,
     perturb,
     random_seed,
 )
 from fdforge.taylor_system import Dimensions, echelon_block, seed_to_formula
+from fdforge.validation import empirical_order
 
 E_POLY = (1.0, 0.125, -0.75, -0.625, 0.25)
 
 
-def rosenbrock(v):
-    return float((1 - v[0]) ** 2 + 100 * (v[1] - v[0] ** 2) ** 2)
+def plane_points(dims, count, rng):
+    """``count`` random points z of the seed plane whose polish value is
+    finite, drawn at the scale of the search's start points."""
+    block = echelon_block(dims)
+    b, (_, plane) = -block.b_float[0], block.seed_plane
+    fg = deflated_radius(dims)
+    out = []
+    while len(out) < count:
+        y = rng.standard_normal(dims.s)
+        z = plane.T @ (y / (b @ y))
+        if fg(z)[1] is not None:
+            out.append(z)
+    return fg, out
 
 
-def scipy_nm(f, x0, max_iter=2000):
-    """SciPy's Nelder-Mead with the options nelder_mead documents, and with
-    its vertex sort made stable, as nelder_mead's is."""
-    argsort = np.argsort
-    with mock.patch.object(np, "argsort", lambda a: argsort(a, kind="stable")):
-        return minimize(f, x0, method="Nelder-Mead", options={
-            "xatol": 1e-8, "fatol": 1e-10, "maxiter": max_iter,
-            "initial_simplex": None, "adaptive": False,
-        })
+# ------------------------------------------------------------------- polish
+
+
+@pytest.mark.parametrize("k, s", [(4, 4), (5, 5), (6, 7)])
+def test_radius_gradient_matches_central_differences(k, s):
+    dims = Dimensions(k, s)
+    fg, points = plane_points(dims, 20, np.random.default_rng(k * 10 + s))
+    y_p, plane = echelon_block(dims).seed_plane
+    f = objective_function(dims)
+    for z in points:
+        h, grad = fg(z)
+        # p = (x - 1) r, so p's largest root magnitude is max(1, h)
+        assert f(y_p + plane @ z) == pytest.approx(max(1.0, h), rel=1e-9)
+        step = 1e-6 * max(1.0, np.abs(z).max())
+        central = np.array([(fg(z + step * e)[0] - fg(z - step * e)[0]) / (2 * step)
+                            for e in np.eye(z.size)])
+        assert np.abs(central - grad).max() <= 1e-5 * np.abs(grad).max(), z
+
+
+@pytest.mark.parametrize("z0", [[np.inf, 0.5, 1.0], [np.nan, 0.0, 0.0], [1e300, -1e300, 1e300]],
+                         ids=["inf", "nan", "overflow"])
+def test_polish_from_a_penalty_start_returns_the_penalty_silently(z0):
+    fg = deflated_radius(Dimensions(4, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fg(np.array(z0)) == (PENALTY, None)
+        z, h, nit = bfgs(fg, np.array(z0))
+    assert h == PENALTY and nit == 0
+    assert z.tobytes() == np.array(z0).tobytes()
+
+
+# The tests named test_nm_* were written for the Nelder-Mead (nm) polish
+# that bfgs replaced; they keep their names and check bfgs.
+
+
+def on_plane(dims, y):
+    """z of the start point y / (b·y) on the seed plane, as the search has it."""
+    block = echelon_block(dims)
+    return block.seed_plane[1].T @ (y / (-block.b_float[0] @ y))
+
+
+def numpy_bfgs(fg, z0, *, max_iter=MAX_ITER):
+    """bfgs as a plain loop, frozen as the reference that bfgs must match bit
+    for bit.  Every search's formulas follow from the points the polish
+    evaluates, so a change to them must be made here too, on purpose."""
+    z = np.asarray(z0, dtype=float)
+    h, g = fg(z)
+    n = z.size
+    inv_h = np.eye(n)
+    nit = 0
+    while nit < max_iter and g is not None and h > 1.0 - FLOOR_MARGIN:
+        d = -inv_h @ g
+        if not g @ d < 0.0:
+            inv_h = np.eye(n)
+            d = -g
+        slope = g @ d
+        if not slope < 0.0:
+            break
+        lo, hi, t = 0.0, np.inf, 1.0
+        accepted = False
+        for _ in range(LINE_SEARCH_TRIALS):
+            z_t = z + t * d
+            h_t, g_t = fg(z_t)
+            if g_t is None or not h_t <= h + WOLFE_C1 * t * slope:
+                hi = t
+            elif g_t @ d < WOLFE_C2 * slope:
+                lo = t
+            else:
+                accepted = True
+                break
+            t = 0.5 * (lo + hi) if np.isfinite(hi) else 2.0 * lo
+        if not accepted:
+            break
+        step, dg = z_t - z, g_t - g
+        sy = step @ dg
+        if sy > 0.0:
+            v = np.eye(n) - np.outer(step, dg) / sy
+            inv_h = v @ inv_h @ v.T + np.outer(step, step) / sy
+        z, h, g = z_t, h_t, g_t
+        nit += 1
+    return z, h, nit
 
 
 def same_bits(a, b):
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
-def numpy_nelder_mead(f, x0, *, tol_x=1e-8, tol_f=1e-10, max_iter=2000,
-                      fixed_point_exit=True):
-    """nelder_mead as a NumPy loop, frozen as the reference that the
-    list-based loop must match bit for bit.  Without ``fixed_point_exit`` a
-    fixed point is replayed until the stall exit or max_iter ends it."""
-    x0 = np.asarray(x0, dtype=float).ravel()
-    n = x0.size
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = x0.copy()
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    fsim = np.array([f(v) for v in sim], dtype=float)
-    ind = np.argsort(fsim, kind="stable")
-    sim = np.take(sim, ind, 0)
-    fsim = np.take(fsim, ind, 0)
-    nit = 1
-    idle = 0
-    while nit < max_iter:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= tol_x
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= tol_f):
-            break
-        before = None
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(xe)
-            if fxe < fxr:
-                sim[-1], fsim[-1] = xe, fxe
-            else:
-                sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = f(xc)
-                accept = fxc <= fxr
-            else:
-                xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = f(xc)
-                accept = fxc < fsim[-1]
-            if accept:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                before = sim.tobytes()
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
-        nit += 1
-        ind = np.argsort(fsim, kind="stable")
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-        idle = 0 if ind[0] else idle + 1
-        if idle >= STALL_ITERS:
-            break
-        if fixed_point_exit and before is not None and sim.tobytes() == before:
-            nit = max_iter if ind[0] else min(nit + STALL_ITERS - idle, max_iter)
-            break
-    return sim[0], float(np.min(fsim)), nit
-
-
 class RecordingObjective:
-    """``f`` that records the bits of every point it is called on."""
+    """``fg`` that records the bits of every point it is called on."""
 
-    def __init__(self, f):
-        self.f, self.points = f, []
+    def __init__(self, fg):
+        self.fg, self.points = fg, []
 
-    def __call__(self, v):
-        self.points.append(np.asarray(v, dtype=float).tobytes())
-        return self.f(v)
-
-
-def assert_same_polish(f, x0, **kw):
-    """nelder_mead and the frozen NumPy loop evaluate the same points in the
-    same order and return the same x bits, fun and nit."""
-    new, ref = RecordingObjective(f), RecordingObjective(f)
-    x, fun, nit = nelder_mead(new, x0, **kw)
-    rx, rfun, rnit = numpy_nelder_mead(ref, x0, **kw)
-    assert same_bits(x, rx) and same_bits(fun, rfun) and nit == rnit, x0
-    assert new.points == ref.points, x0
-    return len(new.points)
+    def __call__(self, z):
+        self.points.append(np.asarray(z, dtype=float).tobytes())
+        return self.fg(z)
 
 
-# Start points of polishes in the (4,4) reference search (runs 4, restarts
-# 10, rng 0; outer runs 0, 1 and 3) whose simplex shrinks onto itself bit for
-# bit: at iteration 260 with 98 idle, 204 with 133 idle and 228 with 6 idle.
-FIXED_POINT_STARTS = [
-    ["0x1.258ad65ba6610p-1", "-0x1.4e28f575e782ap+0", "0x1.62cb5557ac013p-2", "0x1.79d4e8130ec2cp-3"],
-    ["-0x1.3503350807faep+50", "0x1.628acc61413a3p+48", "0x1.a1635942b0140p+48", "-0x1.25ec55a9864d9p+48"],
-    ["0x1.2e7065ae63153p+6", "0x1.e57ca9627aee9p+3", "-0x1.2134b62bcd87dp+8", "0x1.f4d8f32590486p+6"],
-]
+def assert_same_polish(fg, z0, **kw):
+    """bfgs and the frozen loop evaluate the same points in the same order
+    and return the same z and h bits and nit; returns bfgs's result."""
+    new, ref = RecordingObjective(fg), RecordingObjective(fg)
+    z, h, nit = bfgs(new, z0, **kw)
+    rz, rh, rnit = numpy_bfgs(ref, z0, **kw)
+    assert same_bits(z, rz) and same_bits(h, rh) and nit == rnit, z0
+    assert new.points == ref.points, z0
+    return z, h, nit
 
 
-# -------------------------------------------------------------- nelder-mead
+def bowl(a):
+    """1 + |v - a|^2 with its gradient: its minimum 1 lies above the floor
+    exit, so the polish runs until its line search or gradient ends it."""
+    return lambda v: (1.0 + float(np.sum((v - a) ** 2)), 2.0 * (v - a))
+
+
+def rosenbrock(v):
+    x, y = v
+    return (1.0 + (1 - x) ** 2 + 100 * (y - x * x) ** 2,
+            np.array([-2 * (1 - x) - 400 * x * (y - x * x), 200 * (y - x * x)]))
+
+
+def terraces(v):
+    # a bowl rounded down to steps of 1/8, with the bowl's gradient: trial
+    # values tie with the current one
+    return 1.0 + np.floor(8 * float(np.sum((v - 0.2) ** 2))) / 8, 2.0 * (v - 0.2)
+
+
+def nan_stripes(v):
+    # NaN on every other stripe of width 1/4 across the coordinate sum, which
+    # is half the domain, and a bowl on the rest: line searches cross stripes
+    if int(np.floor(4 * np.sum(v))) % 2:
+        return float("nan"), np.full(v.size, np.nan)
+    return bowl(0.2)(v)
 
 
 def test_nm_quadratic_bowl():
     a = np.array([3.0, -2.0, 0.5])
-
-    def bowl(v):
-        return float(np.sum((v - a) ** 2))
-
-    x, f, nit = nelder_mead(bowl, np.zeros(3))
+    x, f, nit = assert_same_polish(bowl(a), np.zeros(3))
     assert np.abs(x - a).max() < 1e-6
-    assert f < 1e-10
+    assert f - 1.0 < 1e-10
     assert nit >= 1
-    ref = scipy_nm(bowl, np.zeros(3))
-    assert same_bits(x, ref.x) and f == ref.fun and nit == ref.nit
 
 
 def test_nm_rosenbrock_classic_start():
-    x, f, nit = nelder_mead(rosenbrock, np.array([-1.2, 1.0]))
-    assert f < 1e-6
+    x, f, nit = assert_same_polish(rosenbrock, np.array([-1.2, 1.0]))
+    assert f - 1.0 < 1e-6
     assert np.abs(x - 1.0).max() < 1e-3
-    ref = scipy_nm(rosenbrock, np.array([-1.2, 1.0]))
-    assert same_bits(x, ref.x) and f == ref.fun and nit == ref.nit
-
-
-def test_nm_matches_scipy_and_stops_stalls_early():
-    # SciPy's Nelder-Mead is the reference: on random (4,4) starts the
-    # polish must land on the same point to the bit, in no more iterations.
-    # Starts on which SciPy idles to maxiter must occur, and there the
-    # stall exit must end the polish early with the same answer.
-    obj = objective_function(Dimensions(4, 4))
-    rng = np.random.default_rng(2024)
-    capped = early = 0
-    for _ in range(40):
-        y0 = rng.standard_normal(4)
-        ref = scipy_nm(obj, y0)
-        x, f, nit = nelder_mead(obj, y0)
-        assert same_bits(x, ref.x) and f == ref.fun, y0
-        assert nit <= ref.nit
-        if ref.nit >= 2000:
-            capped += 1
-            early += nit < ref.nit
-    assert capped >= 5
-    assert early >= capped - 2
+    assert nit < MAX_ITER
 
 
 def test_nm_known_good_seed_sits_on_the_floor():
-    obj = objective_function(Dimensions(2, 2))
+    # the (2,2) catalog seed is convergent already: its point is a minimum
+    dims = Dimensions(2, 2)
+    obj = objective_function(dims)
     y0 = np.array([-5.0, 2.0])
-    x, f, nit = nelder_mead(obj, y0)
+    z, h, nit = bfgs(deflated_radius(dims), on_plane(dims, y0))
+    y_p, plane = echelon_block(dims).seed_plane
+    f = obj(y_p + plane @ z)
+    assert nit == 0 and h == pytest.approx(0.9025, abs=5e-4)
     assert f <= obj(y0) + 1e-15
     assert abs(f - 1.0) <= 1e-9
 
 
 def test_nm_never_worse_than_start():
     rng = np.random.default_rng(60)
-    obj = objective_function(Dimensions(3, 3))
-    for _ in range(5):
-        y0 = rng.standard_normal(3)
-        x, f, nit = nelder_mead(obj, y0)
-        assert f <= obj(y0) + 1e-12
+    starts = [(Dimensions(3, 3), on_plane(Dimensions(3, 3), rng.standard_normal(3)))
+              for _ in range(5)]
+    fg, points = plane_points(Dimensions(5, 5), 10, np.random.default_rng(3))
+    starts += [(Dimensions(5, 5), z0) for z0 in points]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dims, z0 in starts:
+            fg = deflated_radius(dims)
+            z, h, nit = bfgs(fg, z0)
+            assert h <= fg(z0)[0] and fg(z)[0] == h
+            assert nit <= MAX_ITER
 
 
 def test_nm_respects_iteration_cap():
-    obj = objective_function(Dimensions(4, 4))
-    x, f, nit = nelder_mead(obj, np.array([1.0, 2.0, 3.0, 4.0]), max_iter=50)
-    assert nit <= 50
+    fg = deflated_radius(Dimensions(4, 4))
+    z0 = on_plane(Dimensions(4, 4), np.array([1.0, 2.0, 3.0, 4.0]))
+    assert bfgs(fg, z0, max_iter=50)[2] <= 50
+    fg, points = plane_points(Dimensions(5, 5), 10, np.random.default_rng(3))
+    capped = [bfgs(fg, z0, max_iter=3)[2] for z0 in points]
+    assert max(capped) == 3
 
 
-@pytest.mark.parametrize("start", FIXED_POINT_STARTS, ids=["outer0", "outer1", "outer3"])
-def test_nm_fixed_point_exit_returns_the_replayed_result(start):
-    # At a fixed point the loop stops instead of replaying it until the stall
-    # exit, and still returns that exit's (x, fun, nit).
-    obj = objective_function(Dimensions(4, 4))
-    y0 = np.array([float.fromhex(h) for h in start])
-    new, ref = RecordingObjective(obj), RecordingObjective(obj)
-    x, f, nit = nelder_mead(new, y0)
-    rx, rf, rnit = numpy_nelder_mead(ref, y0, fixed_point_exit=False)
-    assert same_bits(x, rx) and f == rf and nit == rnit
-    assert nit < 2000
-    assert len(new.points) < len(ref.points)
-
-
-def test_nm_fixed_point_exit_below_the_stall_horizon_returns_max_iter():
-    # The outer-1 start reaches its fixed point at iteration 204 with 133
-    # idle, so the stall exit would come at 271; a max_iter of 240 ends the
-    # replay first.
-    obj = objective_function(Dimensions(4, 4))
-    y0 = np.array([float.fromhex(h) for h in FIXED_POINT_STARTS[1]])
-    new, ref = RecordingObjective(obj), RecordingObjective(obj)
-    x, f, nit = nelder_mead(new, y0, max_iter=240)
-    rx, rf, rnit = numpy_nelder_mead(ref, y0, max_iter=240, fixed_point_exit=False)
-    assert same_bits(x, rx) and f == rf
-    assert nit == rnit == 240
-    assert len(new.points) < len(ref.points)
-
-
-def test_nm_fixed_point_exit_compares_bits_not_values():
-    # From a non-finite start every vertex scores the penalty and the first
-    # shrink leaves NaN coordinates, which float == never matches.
-    obj = objective_function(Dimensions(2, 2))
-    y0 = np.array([np.inf, 0.5])
-    new, ref = RecordingObjective(obj), RecordingObjective(obj)
+def test_nm_matches_the_numpy_loop_from_a_non_finite_start():
+    # b·y0 is not finite, so the start enters as its projection: the penalty
+    dims = Dimensions(2, 2)
+    block = echelon_block(dims)
+    z0 = block.seed_plane[1].T @ np.array([np.inf, 0.5])
     with np.errstate(invalid="ignore"):
-        x, f, nit = nelder_mead(new, y0)
-        rx, rf, rnit = numpy_nelder_mead(ref, y0, fixed_point_exit=False)
-    assert same_bits(x, rx) and f == rf == PENALTY and nit == rnit
-    assert len(new.points) < len(ref.points)
-
-
-def plateau(v):
-    # three levels, so most simplices hold tied values
-    return float(np.floor(2 * np.abs(v).sum()) % 3)
-
-
-def nan_stripes(v):
-    # NaN on every other stripe of width 1/4 across the coordinate sum, which
-    # is half the domain, and a bowl on the rest: simplices straddle stripes
-    if int(np.floor(4 * np.sum(v))) % 2:
-        return float("nan")
-    return float(np.sum((v - 0.2) ** 2))
+        z, h, nit = assert_same_polish(deflated_radius(dims), z0)
+    assert h == PENALTY and nit == 0
 
 
 def test_nm_matches_the_numpy_loop_on_the_discover_44_polishes(monkeypatch):
-    # the 34 polishes of the benchmark's discover-44 search (outer runs 0-3
+    # the 44 polishes of the benchmark's discover-44 search (outer runs 0-3
     # of the (4,4) reference stream), replayed on the objective they ran on
     polishes = []
 
-    def record(f, x0, **kw):
-        polishes.append((f, np.array(x0), kw))
-        return nelder_mead(f, x0, **kw)
+    def record(fg, z0, **kw):
+        polishes.append((fg, np.array(z0), kw))
+        return bfgs(fg, z0, **kw)
 
-    monkeypatch.setattr(search, "nelder_mead", record)
+    monkeypatch.setattr(search, "bfgs", record)
     monkeypatch.setattr(search, "_worker_count", lambda runs: 1)  # record here
     discover(SearchConfig(dims=Dimensions(4, 4), runs=4, restarts=10, rng_seed=0))
     monkeypatch.undo()
-    assert len(polishes) == 34
-    for f, x0, kw in polishes:
-        assert_same_polish(f, x0, **kw)
+    assert len(polishes) == 44
+    for fg, z0, kw in polishes:
+        assert_same_polish(fg, z0, **kw)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_nm_matches_the_numpy_loop_on_ties_and_nan(n):
-    # tied values keep their index order (a stable sort); NaN values sort
-    # last
+    # a tied trial value is no decrease and a NaN one counts as too long:
+    # both bisect the step, and neither moves the polish uphill
     rng = np.random.default_rng(n)
-    obj = objective_function(Dimensions(n, n))
+    fg = deflated_radius(Dimensions(n, n))
     for i in range(12):
         y0 = rng.standard_normal(n)
-        assert_same_polish(plateau, y0, max_iter=300)
-        assert_same_polish(nan_stripes, y0, max_iter=300)
+        for f in (terraces, nan_stripes):
+            h0 = f(y0)[0]
+            _, h, _ = assert_same_polish(f, y0)
+            assert h <= h0 or np.isnan(h0)
         if i < 2:
-            assert_same_polish(obj, y0)
+            assert_same_polish(fg, on_plane(Dimensions(n, n), y0))
+
+
+@pytest.fixture(scope="module")
+def search_66():
+    """The (6,6) search, runs 20, rng 0, from random starts only, in one
+    process, with its CPU time."""
+    with mock.patch.object(search, "_worker_count", lambda runs: 1):
+        t0 = time.process_time()
+        res = discover(SearchConfig(dims=Dimensions(6, 6), runs=20, restarts=10, rng_seed=0))
+        return res, time.process_time() - t0
+
+
+def test_random_search_finds_order_8_formulas(search_66):
+    res, cpu_s = search_66
+    assert res.candidates
+    for cand in res.candidates:
+        assert analyze_formula(cand.formula).convergent
+        assert empirical_order(cand.formula, 8).passed, cand.formula.p
+    assert cpu_s < 30.0
 
 
 def reversed_ties_argsort(a, *args, **kwargs):
@@ -310,30 +309,16 @@ def reversed_ties_argsort(a, *args, **kwargs):
 
 def test_tie_order_does_not_depend_on_numpy_sort(monkeypatch):
     # How np.argsort orders tied values depends on the sort kernel NumPy
-    # picks for the CPU.  With the vertex sort of every host reversed on
-    # ties, the polishes and a (5,5) search must come out the same.
-    def polishes():
-        rng = np.random.default_rng(5)
-        out = []
-        for _ in range(6):
-            x, fun, nit = nelder_mead(plateau, rng.standard_normal(4), max_iter=300)
-            out.append((x.tobytes(), fun.hex(), nit))
-        return out
-
+    # picks for the CPU.  With the sort of every host reversed on ties, a
+    # (5,5) search must come out the same.
     def search_55():
         res = discover(SearchConfig(dims=Dimensions(5, 5), runs=1, restarts=10, rng_seed=1))
         return bits((res.candidates, res.attempts, res.failure_plateaus))
 
     monkeypatch.setattr(search, "_worker_count", lambda runs: 1)
-    expected = polishes(), search_55()
+    expected = search_55()
     monkeypatch.setattr(np, "argsort", reversed_ties_argsort)
-    assert (polishes(), search_55()) == expected
-
-
-def test_nm_matches_the_numpy_loop_from_a_non_finite_start():
-    obj = objective_function(Dimensions(2, 2))
-    with np.errstate(invalid="ignore"):
-        assert_same_polish(obj, np.array([np.inf, 0.5]))
+    assert search_55() == expected
 
 
 # ------------------------------------------------------------- random seeds
@@ -405,10 +390,10 @@ def test_config_validation():
     for bad in (-1, 1.5, None):
         with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
             SearchConfig(dims=d, runs=1, restarts=1, rng_seed=bad)
-    # the iteration cap, the penalty and the perturbation scale are
+    # the polish's step cap, the penalty and the perturbation scale are
     # constants, not settings
     cfg = SearchConfig(dims=d, runs=1, restarts=1)
-    assert cfg.nm_max_iter == 2000 and cfg.penalty == PENALTY
+    assert cfg.nm_max_iter == MAX_ITER == 200 and cfg.penalty == PENALTY
     assert [f.name for f in fields(cfg)] == ["dims", "runs", "restarts", "rng_seed"]
 
 
@@ -440,12 +425,13 @@ def test_discover_known_seed_single_candidate():
     cand = res.candidates[0]
     assert np.allclose(cand.formula.p, E_POLY, atol=1e-12)
     assert cand.formula.c == pytest.approx(2.25, abs=1e-12)
-    # the seed was already optimal: recorded verbatim, no NM drift
-    assert cand.nm_iterations == 0
-    assert cand.seed_final == cand.seed_initial == (-5.0, 2.0)
-    assert cand.report.convergent
-    assert abs(cand.report.max_deviation) <= 1e-8
-    assert cand.report.second_magnitude == pytest.approx(0.9025, abs=5e-4)
+    # the seed was already optimal: recorded verbatim, no polish drift
+    assert cand.iterations == 0
+    assert cand.seed_final == (-5.0, 2.0)
+    rep = analyze_formula(cand.formula)
+    assert rep.convergent
+    assert abs(rep.max_deviation) <= 1e-8
+    assert rep.second_magnitude == pytest.approx(0.9025, abs=5e-4)
     assert res.attempts == 1
     assert res.failure_plateaus == ()
 
@@ -455,19 +441,19 @@ def test_discover_rational_session_seed():
     res = discover(cfg, initial_seed=[1.0, 110.0, -40.0])
     assert len(res.candidates) == 1
     cand = res.candidates[0]
-    assert cand.nm_iterations == 0
-    assert cand.seed_final == cand.seed_initial == (1.0, 110.0, -40.0)
+    assert cand.iterations == 0
+    assert cand.seed_final == (1.0, 110.0, -40.0)
     f = seed_to_formula(Dimensions(3, 3), [1, 110, -40], exact=True)
     assert np.allclose(cand.formula.p, [float(v) for v in f.p], atol=1e-15)
 
 
 def test_discover_polishes_on_the_seed_hyperplane():
-    # Nelder-Mead runs on b.y = 1 (b = -B[0], where q[0] = 1), so every
+    # The polish runs on b.y = 1 (b = -B[0], where q[0] = 1), so every
     # polished seed lies there, and its formula is the one recorded.
     dims = Dimensions(4, 4)
     res = discover(SearchConfig(dims=dims, runs=4, restarts=10, rng_seed=0))
     b = -echelon_block(dims).b_float[0]
-    polished = [c for c in res.candidates if c.nm_iterations]
+    polished = [c for c in res.candidates if c.iterations]
     assert len(polished) >= 5
     for cand in polished:
         assert abs(b @ np.array(cand.seed_final) - 1.0) <= 1e-12
@@ -477,8 +463,7 @@ def test_discover_polishes_on_the_seed_hyperplane():
 @pytest.mark.parametrize("k, plateau", [(2, 2.686140661634509), (3, 4.702803653428851)])
 def test_discover_single_entry_seed_runs_no_simplex(k, plateau):
     # At s = 1 the hyperplane is one point and every nonzero seed gives one
-    # formula, so an attempt scores its start point and Nelder-Mead does not
-    # run.  The plateaus are those of the search over all of seed space to
+    # formula, so an attempt scores its start point and no polish runs.  The plateaus are those of the search over all of seed space to
     # rounding, as f(lam * y) = f(y) holds to 1e-12 relative.
     with pytest.warns(UserWarning, match="s >= k"):
         cfg = SearchConfig(dims=Dimensions(k, 1), runs=2, restarts=2, rng_seed=0)
@@ -566,7 +551,7 @@ def test_discover_outer_runs_independent_of_run_count():
 
 
 def test_runtime_loads_no_scipy():
-    # NumPy's LAPACK finds the roots and the search runs its own Nelder-Mead:
+    # NumPy's LAPACK finds the roots and the search runs its own BFGS:
     # SciPy is a test oracle only, and loading any of it would cost set-up
     # time and memory on every command.  A single outer run runs in the
     # calling process, so discover --runs 1 does not import multiprocessing.
@@ -590,25 +575,21 @@ def test_runtime_loads_no_scipy():
 
 def test_discover_candidates_audit_clean():
     # postcondition audit: every candidate re-checks as convergent with a
-    # fresh analyze call, and the attached report matches its polynomial
+    # fresh analyze call, and its final seed spawns its formula
     cfg = SearchConfig(dims=Dimensions(2, 2), runs=6, restarts=3, rng_seed=7)
     res = discover(cfg)
     assert res.candidates  # this configuration does find formulas
     for cand in res.candidates:
-        rep = analyze_formula(cand.formula)
-        assert rep.convergent
-        assert rep.max_magnitude == pytest.approx(
-            cand.report.max_magnitude, abs=1e-12
-        )
+        assert analyze_formula(cand.formula).convergent
         f2 = seed_to_formula(cfg.dims, np.array(cand.seed_final))
         assert np.allclose(f2.p, cand.formula.p, atol=1e-12)
 
 
-def test_discover_failure_plateaus_respect_floor():
-    cfg = SearchConfig(dims=Dimensions(5, 5), runs=3, restarts=2, rng_seed=1)
-    res = discover(cfg)
-    for v in res.failure_plateaus:
-        assert v >= 1.0 - 1e-9
+def test_discover_failure_plateaus_respect_floor(search_66):
+    # a polish minimizes h, which may fall below 1; a plateau is max(1, h)
+    res, _ = search_66
+    assert res.failure_plateaus
+    assert all(v >= 1.0 for v in res.failure_plateaus)
 
 
 def test_discover_attempt_budget_bounded():
@@ -648,7 +629,7 @@ def bits(obj):
 @pytest.mark.parametrize("dims, runs, init", [
     (Dimensions(4, 4), 4, None),
     (Dimensions(3, 3), 6, None),
-    (Dimensions(2, 1), 3, None),  # s = 1: Nelder-Mead does not run
+    (Dimensions(2, 1), 3, None),  # s = 1: no polish runs
     (Dimensions(2, 2), 3, [-5.0, 2.0]),
 ], ids=["4-4", "3-3", "2-1", "initial-seed"])
 def test_discover_results_do_not_depend_on_the_worker_count(monkeypatch, dims, runs, init):
@@ -670,8 +651,7 @@ def test_discover_reaps_its_workers_and_their_cpu_is_counted(monkeypatch):
         return ru.ru_utime + ru.ru_stime
 
     before = child_cpu()
-    # outer runs 0 and 1 of the (4,4) reference stream polish for ~10,000
-    # objective calls each
+    # outer runs 0 and 1 of the (4,4) reference stream, one per worker
     discover(SearchConfig(dims=Dimensions(4, 4), runs=2, restarts=10, rng_seed=0))
     assert multiprocessing.active_children() == []
     assert child_cpu() > before
