@@ -24,9 +24,11 @@ reported root z.
 
 The search scores a start point with :func:`objective_function`, which maps
 a seed to the maximum root magnitude of its formula, and polishes it with
-:func:`deflated_radius`, the largest root magnitude of p / (z - 1) and its
-gradient in the coordinates of the seed plane.  Both absorb every degenerate
-outcome into a large penalty so the optimizer sees a total function.
+:func:`deflated_radius`: a value, the largest root magnitude of p / (z - 1)
+at a point of the seed plane, from one root solve per trial point, and a
+gradient from the same roots, computed only where the line search's
+curvature test reads it.  Both absorb every degenerate outcome into a large
+penalty (or no gradient) so the optimizer sees a total function.
 """
 
 from __future__ import annotations
@@ -136,6 +138,12 @@ def _companion_roots(tail: np.ndarray, comp: np.ndarray, out: np.ndarray) -> np.
     return out
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()`` of a short vector, sooner: a finite sum has
+    finite terms, so only a sum that is not finite needs the full check."""
+    return math.isfinite(sum(a.tolist())) or bool(np.isfinite(a).all())
+
+
 def find_roots(p) -> np.ndarray:
     """All roots of the real polynomial ``p`` (descending powers), sorted by
     magnitude descending with (real, imag) as tie-breakers.
@@ -238,20 +246,25 @@ def objective_function(dims: Dimensions) -> Callable[[np.ndarray], float]:
     return f
 
 
-def deflated_radius(dims: Dimensions) -> Callable[[np.ndarray], tuple]:
-    """z -> (h, grad h), h the largest root magnitude of r = p / (z - 1) at
-    the point z of the seed plane (``EchelonBlock.seed_plane``).
+def deflated_radius(dims: Dimensions) -> tuple:
+    """(value, gradient) of h, the largest root magnitude of r = p / (z - 1)
+    at the point z of the seed plane (``EchelonBlock.seed_plane``).
 
     p's largest root magnitude is max(1, h), but h can fall below 1, so a
-    minimizer sees how far inside the disk the other roots are.  The tail of
-    r is r_p + R @ z (``EchelonBlock.deflated_plane``), so for a root l of r
-    with |l| = h, dl/dz = -(sum_j R[j] l^(m-1-j)) / r'(l), where
-    r'(l) = prod(l - other roots): one root solve per point.  Where several
-    roots share the largest magnitude this is the gradient of one of them,
-    as BFGS on nonsmooth functions expects.  A point whose tail or gradient
-    is not finite, or whose root solve fails, scores ``(PENALTY, None)``
-    silently.  Like ``objective_function``'s, each closure carries private
-    scratch buffers and context: give each thread its own.
+    minimizer sees how far inside the disk the other roots are.  ``value(z)``
+    returns h after one root solve, and ``PENALTY`` where the tail of r is
+    not finite or the root solve fails; it keeps the roots, so that
+    ``gradient()`` returns grad h at the last valued point without a second
+    solve, or None where that point scored the penalty or the gradient is not
+    finite.  A line search reads the gradient only at the trials that pass
+    sufficient decrease.
+    The tail of r is r_p + R @ z (``EchelonBlock.deflated_plane``), so for a
+    root l of r with |l| = h, dl/dz = -(sum_j R[j] l^(m-1-j)) / r'(l), where
+    r'(l) = prod(l - other roots).  Where several roots share the largest
+    magnitude this is the gradient of one of them, as BFGS on nonsmooth
+    functions expects.  Both run silently in a private floating-point
+    context; like ``objective_function``'s, each pair carries private
+    scratch buffers: give each thread its own.
     """
     r_p, r_z = echelon_block(dims).deflated_plane
     m = r_p.size
@@ -260,25 +273,35 @@ def deflated_radius(dims: Dimensions) -> Callable[[np.ndarray], tuple]:
     comp = np.eye(m, k=-1, order="F")
     tail = np.empty(m)
     roots = np.empty(m, dtype=complex)
+    mags = np.empty(m)
     exponents = np.arange(m - 1, -1, -1)
+    top = None  # index of the largest root at the last valued point, if any
 
-    def value_and_gradient(z: np.ndarray) -> tuple:
+    def value(z: np.ndarray) -> float:
+        nonlocal top
+        top = None
         np.matmul(neg_z, z, out=tail)
         np.add(tail, neg_p, out=tail)
-        if not np.isfinite(tail).all():
-            return PENALTY, None
+        if not _all_finite(tail):
+            return PENALTY
         try:
             _companion_roots(tail, comp, roots)
         except np.linalg.LinAlgError:
-            return PENALTY, None
-        mags = np.abs(roots)
-        i = mags.argmax()
-        h, root = float(mags[i]), roots[i]
+            return PENALTY
+        np.abs(roots, out=mags)
+        top = mags.argmax()
+        return float(mags[top])
+
+    def gradient():
+        if top is None:
+            return None
+        root = roots[top]
         gaps = root - roots
-        gaps[i] = 1.0
+        gaps[top] = 1.0
         droot = (root ** exponents @ neg_zc) / gaps.prod()
-        grad = (root.conjugate() * droot).real / h
-        return (h, grad) if np.isfinite(grad).all() else (PENALTY, None)
+        grad = (root.conjugate() * droot).real / float(mags[top])
+        return grad if _all_finite(grad) else None
 
     with np.errstate(all="ignore"):  # powers of l may overflow, r'(l) vanish
-        return functools.partial(contextvars.copy_context().run, value_and_gradient)
+        quiet = contextvars.copy_context()
+    return functools.partial(quiet.run, value), functools.partial(quiet.run, gradient)

@@ -12,9 +12,13 @@ here.  It is BFGS with a weak Wolfe line search, which works on nonsmooth
 functions such as a root radius (Lewis & Overton, Math. Program. 141,
 2013), on h = max|roots of r| for r = p / (z - 1).  Unlike p's, r's largest
 root magnitude falls below 1 inside the convergent set, so a polish can
-stop once every root is strictly inside the disk, and its gradient costs
-no second root solve (``charpoly.deflated_radius``).  The verdict stays the
-classifier on p, whose roots ``analyze`` prints.
+stop once every root is strictly inside the disk.  Each trial point of the
+line search costs one root solve for its value; its gradient reuses those
+roots and is computed only at the trials that pass sufficient decrease,
+the only ones whose curvature the line search tests
+(``charpoly.deflated_radius``).  The verdict stays the classifier on p,
+whose roots ``analyze`` prints, and a start point is classified only when
+its largest root magnitude is within the bound.
 
 The landscape is flat along every ray: the null vector is normalized by its
 leading entry q[0] = b·y (b = -B[0]), so f(lam * y) = f(y) for lam != 0.
@@ -62,7 +66,7 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .charpoly import PENALTY, analyze_formula, deflated_radius, objective_function
+from .charpoly import ACCEPT_TOL, PENALTY, analyze_formula, deflated_radius, objective_function
 from .taylor_system import DifferenceFormula, Dimensions, _check_int, echelon_block, seed_to_formula
 
 __all__ = [
@@ -173,31 +177,39 @@ def bfgs(fg, z0: np.ndarray, *, max_iter: int = MAX_ITER):
     a root radius; returns (z, h, nit): the last accepted point, its value
     and the number of steps taken.
 
-    ``fg(z)`` returns the value and gradient at z, or ``(PENALTY, None)``.
-    The inverse Hessian starts as I and is reset to I when -H g is not a
-    descent direction; its update is skipped unless s·y > 0.  The line
-    search doubles or bisects the step for at most LINE_SEARCH_TRIALS trials
-    until sufficient decrease (WOLFE_C1) and weak curvature (WOLFE_C2) hold;
-    a penalty trial counts as too long.  The polish stops at h <= 1 -
-    FLOOR_MARGIN, at a penalty start, when the line search fails or the
-    gradient vanishes, or after ``max_iter`` steps.
+    ``fg`` is a pair (value, gradient), as ``charpoly.deflated_radius``
+    returns it: ``value(z)`` returns the value at z, and ``gradient()`` the
+    gradient at the last valued point, or None.  The gradient is read at the
+    start and at the trials that pass sufficient decrease, the only ones
+    whose curvature the line search tests.  The inverse Hessian starts as I
+    and is reset to I when -H g is not a descent direction; its update is
+    skipped unless s·y > 0.  The line search doubles or bisects the step for
+    at most LINE_SEARCH_TRIALS trials until sufficient decrease (WOLFE_C1)
+    and weak curvature (WOLFE_C2) hold; a trial without a gradient counts as
+    too long.  The polish stops at h <= 1 - FLOOR_MARGIN, when the line
+    search fails or the gradient vanishes, or after ``max_iter`` steps; a
+    start without a gradient returns (z0, PENALTY, 0).
     """
+    value, gradient = fg
     z = np.asarray(z0, dtype=float)
-    h, g = fg(z)
+    h, g = value(z), gradient()
+    if g is None:
+        return z, PENALTY, 0
     eye = np.eye(z.size)
     inv_h, nit = eye, 0
-    while nit < max_iter and g is not None and h > 1.0 - FLOOR_MARGIN:
+    while nit < max_iter and h > 1.0 - FLOOR_MARGIN:
         d = -inv_h @ g
         if not g @ d < 0.0:
             inv_h, d = eye, -g
-        slope = g @ d
+        slope = float(g @ d)
         if not slope < 0.0:  # the gradient vanishes
             break
         lo, hi, t = 0.0, math.inf, 1.0
         for _ in range(LINE_SEARCH_TRIALS):
             z_t = z + t * d
-            h_t, g_t = fg(z_t)
-            if g_t is None or not h_t <= h + WOLFE_C1 * t * slope:
+            h_t = value(z_t)
+            g_t = gradient() if h_t <= h + WOLFE_C1 * t * slope else None
+            if g_t is None:
                 hi = t
             elif g_t @ d < WOLFE_C2 * slope:
                 lo = t
@@ -209,8 +221,8 @@ def bfgs(fg, z0: np.ndarray, *, max_iter: int = MAX_ITER):
         step, dg = z_t - z, g_t - g
         sy = step @ dg
         if sy > 0.0:
-            v = eye - np.outer(step, dg) / sy
-            inv_h = v @ inv_h @ v.T + np.outer(step, step) / sy
+            v = eye - step[:, None] * dg / sy
+            inv_h = v @ inv_h @ v.T + step[:, None] * step / sy
         z, h, g = z_t, h_t, g_t
         nit += 1
     return z, h, nit
@@ -300,9 +312,11 @@ def _run_outer(
         attempts += 1
         # A start point that already satisfies the root condition is a
         # finished formula: record it verbatim (zero iterations) instead of
-        # letting the minimizer move it off its exact coefficients.
+        # letting the minimizer move it off its exact coefficients.  f is
+        # the classifier's max_magnitude to the bit (PENALTY where it
+        # raises), so a start above the bound needs no classifier call.
         x, fx = y0, f(y0)
-        cand = classify(x, 0, inner_index)
+        cand = classify(x, 0, inner_index) if fx <= 1.0 + ACCEPT_TOL else None
         # At s = 1 the plane is one point: every nonzero seed is one formula.
         if cand is None and plane.shape[1]:
             z, h, nit = bfgs(fg, onto_plane(y0))

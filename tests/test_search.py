@@ -1,6 +1,9 @@
 """The BFGS polish, randomized helpers, and the discovery double loop."""
 
 import contextlib
+import contextvars
+import functools
+import math
 import multiprocessing
 import os
 import resource
@@ -16,7 +19,13 @@ import numpy as np
 import pytest
 
 from fdforge import search
-from fdforge.charpoly import PENALTY, analyze_formula, deflated_radius, objective_function
+from fdforge.charpoly import (
+    PENALTY,
+    _companion_roots,
+    analyze_formula,
+    deflated_radius,
+    objective_function,
+)
 from fdforge.search import (
     FLOOR_MARGIN,
     K_LIMIT,
@@ -41,14 +50,50 @@ def plane_points(dims, count, rng):
     finite, drawn at the scale of the search's start points."""
     block = echelon_block(dims)
     b, (_, plane) = -block.b_float[0], block.seed_plane
-    fg = deflated_radius(dims)
+    fg = value, gradient = deflated_radius(dims)
     out = []
     while len(out) < count:
         y = rng.standard_normal(dims.s)
         z = plane.T @ (y / (b @ y))
-        if fg(z)[1] is not None:
+        value(z)
+        if gradient() is not None:
             out.append(z)
     return fg, out
+
+
+def frozen_deflated_radius(dims):
+    """charpoly.deflated_radius as one call z -> (h, grad h), or
+    (PENALTY, None), frozen as the reference that its value and gradient
+    must match bit for bit."""
+    r_p, r_z = echelon_block(dims).deflated_plane
+    m = r_p.size
+    neg_p, neg_z = -r_p, -r_z
+    neg_zc = neg_z.astype(complex)
+    comp = np.eye(m, k=-1, order="F")
+    tail = np.empty(m)
+    roots = np.empty(m, dtype=complex)
+    exponents = np.arange(m - 1, -1, -1)
+
+    def value_and_gradient(z):
+        np.matmul(neg_z, z, out=tail)
+        np.add(tail, neg_p, out=tail)
+        if not np.isfinite(tail).all():
+            return PENALTY, None
+        try:
+            _companion_roots(tail, comp, roots)
+        except np.linalg.LinAlgError:
+            return PENALTY, None
+        mags = np.abs(roots)
+        i = mags.argmax()
+        h, root = float(mags[i]), roots[i]
+        gaps = root - roots
+        gaps[i] = 1.0
+        droot = (root ** exponents @ neg_zc) / gaps.prod()
+        grad = (root.conjugate() * droot).real / h
+        return (h, grad) if np.isfinite(grad).all() else (PENALTY, None)
+
+    with np.errstate(all="ignore"):
+        return functools.partial(contextvars.copy_context().run, value_and_gradient)
 
 
 # ------------------------------------------------------------------- polish
@@ -57,29 +102,76 @@ def plane_points(dims, count, rng):
 @pytest.mark.parametrize("k, s", [(4, 4), (5, 5), (6, 7)])
 def test_radius_gradient_matches_central_differences(k, s):
     dims = Dimensions(k, s)
-    fg, points = plane_points(dims, 20, np.random.default_rng(k * 10 + s))
+    (value, gradient), points = plane_points(dims, 20, np.random.default_rng(k * 10 + s))
     y_p, plane = echelon_block(dims).seed_plane
     f = objective_function(dims)
     for z in points:
-        h, grad = fg(z)
+        h, grad = value(z), gradient()
         # p = (x - 1) r, so p's largest root magnitude is max(1, h)
         assert f(y_p + plane @ z) == pytest.approx(max(1.0, h), rel=1e-9)
         step = 1e-6 * max(1.0, np.abs(z).max())
-        central = np.array([(fg(z + step * e)[0] - fg(z - step * e)[0]) / (2 * step)
+        central = np.array([(value(z + step * e) - value(z - step * e)) / (2 * step)
                             for e in np.eye(z.size)])
         assert np.abs(central - grad).max() <= 1e-5 * np.abs(grad).max(), z
 
 
-@pytest.mark.parametrize("z0", [[np.inf, 0.5, 1.0], [np.nan, 0.0, 0.0], [1e300, -1e300, 1e300]],
-                         ids=["inf", "nan", "overflow"])
+PENALTY_STARTS = [[np.inf, 0.5, 1.0], [np.nan, 0.0, 0.0], [1e300, -1e300, 1e300]]
+
+
+@pytest.mark.parametrize("z0", PENALTY_STARTS, ids=["inf", "nan", "overflow"])
 def test_polish_from_a_penalty_start_returns_the_penalty_silently(z0):
-    fg = deflated_radius(Dimensions(4, 4))
+    fg = value, gradient = deflated_radius(Dimensions(4, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert fg(np.array(z0)) == (PENALTY, None)
+        h0, g0 = value(np.array(z0)), gradient()
         z, h, nit = bfgs(fg, np.array(z0))
+    # a non-finite tail scores the penalty; at 1e300 the tail is finite, and
+    # its roots, about 1e301, overflow the gradient: neither has one
+    assert g0 is None and (h0 == PENALTY) == (not np.isfinite(z0).all())
     assert h == PENALTY and nit == 0
     assert z.tobytes() == np.array(z0).tobytes()
+
+
+def zero_tail_point():
+    """The point of the (2,2) seed plane where r's constant term is 0.0, so
+    the root kernel strips it into an exact zero root."""
+    r_p, r_z = echelon_block(Dimensions(2, 2)).deflated_plane
+    z = np.array([-r_p[-1] / r_z[-1, 0]])
+    assert (-r_z @ z - r_p)[-1] == 0.0
+    return z
+
+
+def huge_root_point():
+    """A point of the (4,4) seed plane where r has a root near 1e60: its
+    powers overflow, so h is finite and its gradient is not."""
+    r_p, r_z = echelon_block(Dimensions(4, 4)).deflated_plane
+    return 1e60 * -r_z[0] / (r_z[0] @ r_z[0])
+
+
+def test_value_then_gradient_match_the_frozen_kernel_bit_for_bit():
+    cases = []
+    for k, s in [(2, 2), (4, 4), (5, 5), (6, 7)]:
+        rng = np.random.default_rng(k * 10 + s)
+        cases += [(Dimensions(k, s), on_plane(Dimensions(k, s), rng.standard_normal(s)))
+                  for _ in range(25)]
+    cases += [(Dimensions(4, 4), np.array(z0)) for z0 in PENALTY_STARTS]
+    cases += [(Dimensions(2, 2), zero_tail_point()), (Dimensions(4, 4), huge_root_point())]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dims, z in cases:
+            value, gradient = deflated_radius(dims)
+            h, grad = value(z), gradient()
+            ref_h, ref_grad = frozen_deflated_radius(dims)(z)
+            if ref_grad is None:
+                assert ref_h == PENALTY and grad is None, z
+            else:
+                assert same_bits(h, ref_h) and same_bits(grad, ref_grad), z
+        # no gradient at the huge root, but a finite value
+        fg = value, gradient = deflated_radius(Dimensions(4, 4))
+        z = huge_root_point()
+        assert 1e59 < value(z) < math.inf and gradient() is None
+        z_end, h, nit = bfgs(fg, z)
+        assert same_bits(z_end, z) and h == PENALTY and nit == 0
 
 
 # The tests named test_nm_* were written for the Nelder-Mead (nm) polish
@@ -138,26 +230,87 @@ def same_bits(a, b):
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
-class RecordingObjective:
-    """``fg`` that records the bits of every point it is called on."""
+def value_first(fg):
+    """The (value, gradient) pair of ``fg(z) -> (h, g)``, as bfgs takes it."""
+    last = []
+
+    def value(z):
+        last[:] = fg(z)
+        return last[0]
+
+    return value, lambda: last[1]
+
+
+def one_call(fg):
+    """``z -> (h, g)`` of a (value, gradient) pair, as the frozen loop takes
+    it: (PENALTY, None) where there is no gradient."""
+    value, gradient = fg
+
+    def value_and_gradient(z):
+        h, g = value(z), gradient()
+        return (PENALTY, None) if g is None else (h, g)
+
+    return value_and_gradient
+
+
+class RecordingPair:
+    """(value, gradient) pair that records the bits of every point it is
+    valued at, and the index of each point whose gradient is read."""
 
     def __init__(self, fg):
-        self.fg, self.points = fg, []
+        self.fg, self.points, self.read = fg, [], []
+
+    def value(self, z):
+        self.points.append(np.asarray(z, dtype=float).tobytes())
+        return self.fg[0](z)
+
+    def gradient(self):
+        self.read.append(len(self.points) - 1)
+        return self.fg[1]()
+
+
+class Decrease(float):
+    """A value of the frozen loop that notes its point's index in ``log``
+    when the loop's sufficient-decrease test, ``h_t <= bound``, passes."""
+
+    def __new__(cls, h, log, index):
+        out = super().__new__(cls, h)
+        out.log, out.index = log, index
+        return out
+
+    def __le__(self, bound):
+        passed = float(self) <= bound
+        if passed:
+            self.log.append(self.index)
+        return passed
+
+
+class RecordingObjective:
+    """``fg`` that records the bits of every point it is called on, and the
+    index of each point where the frozen loop finds sufficient decrease."""
+
+    def __init__(self, fg):
+        self.fg, self.points, self.decreased = fg, [], []
 
     def __call__(self, z):
         self.points.append(np.asarray(z, dtype=float).tobytes())
-        return self.fg(z)
+        h, g = self.fg(z)
+        return Decrease(h, self.decreased, len(self.points) - 1), g
 
 
 def assert_same_polish(fg, z0, **kw):
-    """bfgs and the frozen loop evaluate the same points in the same order
-    and return the same z and h bits and nit; returns bfgs's result."""
-    new, ref = RecordingObjective(fg), RecordingObjective(fg)
-    z, h, nit = bfgs(new, z0, **kw)
+    """bfgs on the (value, gradient) pair ``fg`` and the frozen loop on its
+    one-call form evaluate the same points in the same order and return the
+    same z and h bits and nit, and bfgs reads the gradient at the start and
+    at the trials where the frozen loop finds sufficient decrease, only;
+    returns bfgs's result and its recording."""
+    new, ref = RecordingPair(fg), RecordingObjective(one_call(fg))
+    z, h, nit = bfgs((new.value, new.gradient), z0, **kw)
     rz, rh, rnit = numpy_bfgs(ref, z0, **kw)
     assert same_bits(z, rz) and same_bits(h, rh) and nit == rnit, z0
     assert new.points == ref.points, z0
-    return z, h, nit
+    assert new.read == [0] + ref.decreased, z0
+    return (z, h, nit), new
 
 
 def bowl(a):
@@ -188,14 +341,14 @@ def nan_stripes(v):
 
 def test_nm_quadratic_bowl():
     a = np.array([3.0, -2.0, 0.5])
-    x, f, nit = assert_same_polish(bowl(a), np.zeros(3))
+    (x, f, nit), _ = assert_same_polish(value_first(bowl(a)), np.zeros(3))
     assert np.abs(x - a).max() < 1e-6
     assert f - 1.0 < 1e-10
     assert nit >= 1
 
 
 def test_nm_rosenbrock_classic_start():
-    x, f, nit = assert_same_polish(rosenbrock, np.array([-1.2, 1.0]))
+    (x, f, nit), _ = assert_same_polish(value_first(rosenbrock), np.array([-1.2, 1.0]))
     assert f - 1.0 < 1e-6
     assert np.abs(x - 1.0).max() < 1e-3
     assert nit < MAX_ITER
@@ -223,9 +376,9 @@ def test_nm_never_worse_than_start():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for dims, z0 in starts:
-            fg = deflated_radius(dims)
+            fg = value, _ = deflated_radius(dims)
             z, h, nit = bfgs(fg, z0)
-            assert h <= fg(z0)[0] and fg(z)[0] == h
+            assert h <= value(z0) and value(z) == h
             assert nit <= MAX_ITER
 
 
@@ -244,7 +397,7 @@ def test_nm_matches_the_numpy_loop_from_a_non_finite_start():
     block = echelon_block(dims)
     z0 = block.seed_plane[1].T @ np.array([np.inf, 0.5])
     with np.errstate(invalid="ignore"):
-        z, h, nit = assert_same_polish(deflated_radius(dims), z0)
+        (z, h, nit), _ = assert_same_polish(deflated_radius(dims), z0)
     assert h == PENALTY and nit == 0
 
 
@@ -262,8 +415,12 @@ def test_nm_matches_the_numpy_loop_on_the_discover_44_polishes(monkeypatch):
     discover(SearchConfig(dims=Dimensions(4, 4), runs=4, restarts=10, rng_seed=0))
     monkeypatch.undo()
     assert len(polishes) == 44
+    values = gradients = 0
     for fg, z0, kw in polishes:
-        assert_same_polish(fg, z0, **kw)
+        _, calls = assert_same_polish(fg, z0, **kw)
+        values, gradients = values + len(calls.points), gradients + len(calls.read)
+    # most trials fail sufficient decrease, and their gradients are not made
+    assert 2 * gradients < values
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -276,7 +433,7 @@ def test_nm_matches_the_numpy_loop_on_ties_and_nan(n):
         y0 = rng.standard_normal(n)
         for f in (terraces, nan_stripes):
             h0 = f(y0)[0]
-            _, h, _ = assert_same_polish(f, y0)
+            (_, h, _), _ = assert_same_polish(value_first(f), y0)
             assert h <= h0 or np.isnan(h0)
         if i < 2:
             assert_same_polish(fg, on_plane(Dimensions(n, n), y0))
