@@ -12,9 +12,9 @@ Roots are the eigenvalues of the companion matrix, computed by one private
 kernel that calls NumPy's own LAPACK ``dgeev`` gufunc (no eigenvectors), the
 routine behind ``numpy.linalg.eigvals`` and ``numpy.roots``, without their
 Python wrapper: the roots are bit-identical to ``numpy.roots`` by
-construction, and nothing beyond NumPy is needed at run time.  The
-classifier and the search objective share one float path from seed to
-roots (the null-vector step of ``taylor_system``, then this kernel), so a
+construction, and nothing beyond NumPy is needed at run time.  A seed has
+one float path to its roots (``taylor_system.seed_to_formula``, then this
+kernel), which scores and judges the search's start points alike, so a
 seed gets one verdict and the same magnitudes to the bit.  Companion
 eigenvalues are backward stable (Edelman & Murakami, Math. Comp. 1995):
 each computed root is an exact root of a polynomial whose coefficients are
@@ -22,12 +22,12 @@ a tiny relative perturbation of the input.  The residual contract checked
 in the test suite is |p(z)| <= 1e-8 * ||p||_1 * max(1,|z|)^n for every
 reported root z.
 
-The search scores a start point with :func:`objective_function`, which maps
-a seed to the maximum root magnitude of its formula, and polishes it with
+The search classifies every start point with ``analyze_formula`` on its
+float formula, and polishes one that is not convergent with
 :func:`deflated_radius`: a value, the largest root magnitude of p / (z - 1)
 at a point of the seed plane, from one root solve per trial point, and a
 gradient from the same roots, computed only where the line search's
-curvature test reads it.  Both absorb every degenerate outcome into a large
+curvature test reads it.  It absorbs every degenerate outcome into a large
 penalty (or no gradient) so the optimizer sees a total function.
 """
 
@@ -43,12 +43,7 @@ from typing import Callable
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .taylor_system import (
-    DifferenceFormula,
-    Dimensions,
-    _nullvector_writer,
-    echelon_block,
-)
+from .taylor_system import DifferenceFormula, Dimensions, echelon_block, seed_to_formula
 
 __all__ = [
     "CIRCLE_TOL",
@@ -200,46 +195,18 @@ def analyze_formula(formula: DifferenceFormula) -> RootReport:
 
 
 def objective_function(dims: Dimensions) -> Callable[[np.ndarray], float]:
-    """Seed -> max root magnitude, packaged for a numerical minimizer.
-
-    Degenerate seeds (wrong shape, zero, non-finite, non-normalizable,
-    overflowing, or breaking the eigenvalue solve) score ``PENALTY``
-    instead of raising, so the search can roam freely.  Values below 1 are
-    impossible — p(1) = 0 pins a root at 1 — which makes 1 the global floor
-    of the landscape.
-
-    This closure is the innermost loop of the whole search (hundreds of
-    thousands of calls per session), so it works on preallocated buffers
-    instead of going through the formula/report objects.  It runs the same
-    two steps as ``analyze_formula(seed_to_formula(...))`` (the null vector,
-    then the companion-root kernel), so it scores ``PENALTY`` exactly where
-    that raises and otherwise equals its ``max_magnitude`` to the bit.
-    Each returned closure carries private scratch buffers and a private
-    ``contextvars.Context`` in which the root kernel runs with NumPy's
-    floating-point errors ignored (NumPy 2 keeps ``np.errstate`` in a
-    context variable, and entering the context costs less than an
-    ``np.errstate`` block per call): share one closure freely within a
-    thread, but give each thread its own.
+    """Seed -> max root magnitude: ``max_magnitude`` of
+    ``analyze_formula(seed_to_formula(dims, y))``, or ``PENALTY`` where that
+    raises (a seed of the wrong shape, zero, non-finite, non-normalizable or
+    overflowing, or a failed root solve) or is not finite.  Values below 1
+    are impossible — p(1) = 0 pins a root at 1 — which makes 1 the global
+    floor of the landscape.
     """
-    d = dims.degree
-    q = np.empty(d)
-    write_nullvector = _nullvector_writer(echelon_block(dims), q)
-    comp = np.eye(d, k=-1, order="F")
-    tail = np.empty(d)
-    roots = np.empty(d, dtype=complex)
-    # Views made once, not on every call.
-    q_rest, tail_rest = q[1:], tail[1:]
-    with np.errstate(all="ignore"):  # a LAPACK failure scores the penalty
-        quiet = contextvars.copy_context()
 
     def f(y: np.ndarray) -> float:
         try:
-            # p = [1, -sum(q), q[1:]], so the negated monic tail -p[1:] is
-            # [sum(q), -q[1:]]
-            tail[0] = write_nullvector(y)
-            np.negative(q_rest, out=tail_rest)
-            val = float(np.abs(quiet.run(_companion_roots, tail, comp, roots)).max())
-        except (ValueError, np.linalg.LinAlgError):
+            val = analyze_formula(seed_to_formula(dims, y)).max_magnitude
+        except ValueError:
             return PENALTY
         return val if math.isfinite(val) else PENALTY
 
@@ -263,8 +230,8 @@ def deflated_radius(dims: Dimensions) -> tuple:
     r'(l) = prod(l - other roots).  Where several roots share the largest
     magnitude this is the gradient of one of them, as BFGS on nonsmooth
     functions expects.  Both run silently in a private floating-point
-    context; like ``objective_function``'s, each pair carries private
-    scratch buffers: give each thread its own.
+    context, and each pair carries private scratch buffers: give each
+    thread its own.
     """
     r_p, r_z = echelon_block(dims).deflated_plane
     m = r_p.size

@@ -17,8 +17,8 @@ line search costs one root solve for its value; its gradient reuses those
 roots and is computed only at the trials that pass sufficient decrease,
 the only ones whose curvature the line search tests
 (``charpoly.deflated_radius``).  The verdict stays the classifier on p,
-whose roots ``analyze`` prints, and a start point is classified only when
-its largest root magnitude is within the bound.
+whose roots ``analyze`` prints; it classifies every start point, with one
+root solve, and scores it by p's largest root magnitude.
 
 The landscape is flat along every ray: the null vector is normalized by its
 leading entry q[0] = b·y (b = -B[0]), so f(lam * y) = f(y) for lam != 0.
@@ -66,7 +66,7 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .charpoly import ACCEPT_TOL, PENALTY, analyze_formula, deflated_radius, objective_function
+from .charpoly import PENALTY, analyze_formula, deflated_radius
 from .taylor_system import DifferenceFormula, Dimensions, _check_int, echelon_block, seed_to_formula
 
 __all__ = [
@@ -271,7 +271,6 @@ def _run_outer(
     found nothing (None otherwise).
     """
     rng = np.random.default_rng(ss)
-    f = objective_function(cfg.dims)
     fg = deflated_radius(cfg.dims)
     # The polish runs in the coordinates z of the seed hyperplane b·y = 1,
     # where y = y_p + plane @ z (see the module docstring).
@@ -289,15 +288,18 @@ def _run_outer(
     attempts = 0
 
     def classify(y: np.ndarray, nit: int, inner_index: int):
-        """Candidate for seed ``y`` if it is convergent, else None."""
+        """(value, candidate) of seed ``y``: p's largest root magnitude, or
+        PENALTY where the float path raises or that is not finite, and the
+        Candidate if ``y`` is convergent, else None."""
         try:
             formula = seed_to_formula(cfg.dims, y)
-            convergent = analyze_formula(formula).convergent
-        except ValueError:  # the seed breaks the float path: it scores PENALTY
-            return None
-        if not convergent:
-            return None
-        return Candidate(
+            report = analyze_formula(formula)
+        except ValueError:
+            return PENALTY, None
+        value = report.max_magnitude if math.isfinite(report.max_magnitude) else PENALTY
+        if not report.convergent:
+            return value, None
+        return value, Candidate(
             seed_final=tuple(float(v) for v in y),
             formula=formula,
             outer_index=outer_index,
@@ -312,16 +314,14 @@ def _run_outer(
         attempts += 1
         # A start point that already satisfies the root condition is a
         # finished formula: record it verbatim (zero iterations) instead of
-        # letting the minimizer move it off its exact coefficients.  f is
-        # the classifier's max_magnitude to the bit (PENALTY where it
-        # raises), so a start above the bound needs no classifier call.
-        x, fx = y0, f(y0)
-        cand = classify(x, 0, inner_index) if fx <= 1.0 + ACCEPT_TOL else None
+        # letting the minimizer move it off its exact coefficients.
+        x = y0
+        fx, cand = classify(x, 0, inner_index)
         # At s = 1 the plane is one point: every nonzero seed is one formula.
         if cand is None and plane.shape[1]:
             z, h, nit = bfgs(fg, onto_plane(y0))
             x, fx = y_p + plane @ z, max(1.0, h)
-            cand = classify(x, nit, inner_index)
+            cand = classify(x, nit, inner_index)[1]
         return fx, x, cand
 
     y0 = random_seed(cfg.dims.s, rng) if initial_seed is None else np.asarray(

@@ -28,9 +28,10 @@ Matrix build, echelon reduction, and the exact formula path all use
 ``fractions.Fraction``: the entries are factorial-denominator rationals and
 exact arithmetic is what makes the structural identities p(1) = 0 and
 p'(1) = c hold identically, at any k and s.  A float64 mirror of the
-seed-to-polynomial map feeds the root-magnitude minimization, which only
-needs speed; its conditioning limits, and the advice that follows from
-them, belong to the search (``search.SearchConfig``), not to this layer.
+seed-to-polynomial map feeds the float classifier, which the search runs
+on every start point and polished seed; its conditioning limits, and the
+advice that follows from them, belong to the search
+(``search.SearchConfig``), not to this layer.
 """
 
 from __future__ import annotations
@@ -254,42 +255,6 @@ def echelon_block(dims: Dimensions) -> EchelonBlock:
     return reduce_to_echelon(build_taylor_matrix(dims))
 
 
-def _nullvector_writer(block: EchelonBlock, q: np.ndarray):
-    """Return ``write(y)``: it writes the normalized null vector of the float
-    seed ``y`` into ``q`` (length k+s) and returns sum(q), which is -p[1].
-
-    Every float seed guard lives here.  ``write`` raises ValueError for a
-    seed that is not a finite length-s vector or is zero, and
-    NonNormalizableSeedError when |q[0]| < NORMALIZE_RTOL * max|q| or when
-    normalizing overflows (sum(q) not finite).  Views are made once: the
-    search objective calls ``write`` hundreds of thousands of times.
-    """
-    # -B @ y has the bits of -(B @ y): rounding is symmetric in sign.
-    neg_b = -block.b_float
-    k, s = neg_b.shape
-    q_head, q_seed = q[:k], q[k:]
-
-    def write(y) -> float:
-        yv = np.asarray(y, dtype=float)
-        if yv.shape != (s,) or not np.isfinite(yv).all():
-            raise ValueError(f"seed must be a finite vector of length s = {s}")
-        np.matmul(neg_b, yv, out=q_head)
-        q_seed[:] = yv
-        # max|q| is 0 exactly when the seed is zero (then q is all zeros).
-        scale = np.abs(q).max()
-        if scale == 0.0:
-            raise ValueError("seed must be nonzero")
-        if abs(q[0]) < NORMALIZE_RTOL * scale:
-            raise NonNormalizableSeedError(f"leading null vector entry {q[0]:.3e} is negligible")
-        np.divide(q, q[0], out=q)
-        total = q.sum()
-        if not math.isfinite(total):  # as it is if any entry of q is not
-            raise NonNormalizableSeedError("normalized null vector overflows float64")
-        return total
-
-    return write
-
-
 def seed_to_formula(dims: Dimensions, y: Sequence, *, exact: bool = False) -> DifferenceFormula:
     """The difference formula spawned by seed ``y``.
 
@@ -309,8 +274,21 @@ def seed_to_formula(dims: Dimensions, y: Sequence, *, exact: bool = False) -> Di
     block = echelon_block(dims)
     d = dims.degree
     if not exact:
-        q = np.empty(d)
-        total = _nullvector_writer(block, q)(y)
+        yv = np.asarray(y, dtype=float)
+        if yv.shape != (dims.s,) or not np.isfinite(yv).all():
+            raise ValueError(f"seed must be a finite vector of length s = {dims.s}")
+        # -B @ y has the bits of -(B @ y): rounding is symmetric in sign.
+        q = np.concatenate([-block.b_float @ yv, yv])
+        # max|q| is 0 exactly when the seed is zero (then q is all zeros).
+        scale = np.abs(q).max()
+        if scale == 0.0:
+            raise ValueError("seed must be nonzero")
+        if abs(q[0]) < NORMALIZE_RTOL * scale:
+            raise NonNormalizableSeedError(f"leading null vector entry {q[0]:.3e} is negligible")
+        q /= q[0]
+        total = q.sum()
+        if not math.isfinite(total):  # as it is if any entry of q is not
+            raise NonNormalizableSeedError("normalized null vector overflows float64")
         p = (1.0, float(-total), *(float(v) for v in q[1:]))
         c = 1.0 - float(np.arange(1.0, d) @ q[1:])
         return DifferenceFormula(dims, p, c)

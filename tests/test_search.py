@@ -18,7 +18,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fdforge import search
+from fdforge import charpoly, search
 from fdforge.charpoly import (
     PENALTY,
     _companion_roots,
@@ -602,6 +602,29 @@ def test_discover_rational_session_seed():
     assert cand.seed_final == (1.0, 110.0, -40.0)
     f = seed_to_formula(Dimensions(3, 3), [1, 110, -40], exact=True)
     assert np.allclose(cand.formula.p, [float(v) for v in f.p], atol=1e-15)
+
+
+def test_a_convergent_start_is_solved_once(monkeypatch):
+    # Every start point is classified once, and its report gives the value
+    # too: a convergent start costs one root solve, and no solve is added
+    # anywhere else (the discover-44 search: 44 polishes, none from a
+    # convergent start).
+    solves = []
+    eigvals = charpoly._eigvals
+
+    def spy(a, **kw):
+        solves.append(1)
+        return eigvals(a, **kw)
+
+    monkeypatch.setattr(charpoly, "_eigvals", spy)
+    monkeypatch.setattr(search, "_worker_count", lambda runs: 1)  # count here
+    res = discover(SearchConfig(Dimensions(3, 3), runs=1, restarts=1),
+                   initial_seed=[1, 110, -40])
+    assert res.candidates[0].iterations == 0 and len(solves) == 1
+    solves.clear()
+    res = discover(SearchConfig(Dimensions(4, 4), runs=4, restarts=10, rng_seed=0))
+    assert (res.attempts, len(res.candidates)) == (44, 16)
+    assert len(solves) == 4278
 
 
 def test_discover_polishes_on_the_seed_hyperplane():
