@@ -22,7 +22,7 @@ from fdforge import (
 print("catalog truncation orders, measured on e^t:")
 print(f"{'formula':8} {'claimed':>7} {'fitted slope':>12}")
 for kf in catalog():
-    oc = empirical_order(kf.to_formula(), kf.claimed_order, formula_id=kf.label)
+    oc = empirical_order(kf.to_formula(), kf.claimed_order)
     print(f"{kf.label:8} {kf.claimed_order:>7} {oc.fitted_slope:>12.3f}")
 
 # the same check on a freshly constructed order-5 formula
@@ -39,7 +39,8 @@ for kf in catalog():
     print(f"{kf.label:8} {coarse.max_error:>12.2e} {fine.max_error:>12.2e}")
 
 print("\nthe counterexample with a characteristic root at 1.1:")
-bad = DifferenceFormula(None, (1.0, -2.1, 1.1), -0.1)
-run = simulate(bad, SIN, tau=0.01, steps=1000)
+bad = DifferenceFormula((1.0, -2.1, 1.1), -0.1)
+steps = 1000
+run = simulate(bad, SIN, tau=0.01, steps=steps)
 print(f"   diverged after reaching max error {run.max_error:.2e} "
-      f"within {run.steps} steps: {run.diverged}")
+      f"within {steps} steps: {run.diverged}")

@@ -190,6 +190,12 @@ def cmd_discover(args, parser: argparse.ArgumentParser) -> int:
                               rng_seed=args.rng_seed)
     except ValueError as exc:
         parser.error(str(exc))
+    if args.output:
+        # Fail before the search, not after it: "a" leaves an existing file as it is.
+        try:
+            open(args.output, "a").close()
+        except OSError as exc:
+            parser.error(f"--output: cannot write {args.output}: {exc.strerror}")
 
     result = discover(
         config,
@@ -257,7 +263,7 @@ def cmd_analyze(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_validate_known(args, parser: argparse.ArgumentParser) -> int:
-    results = validate_catalog(corrupt=args.corrupt)
+    results = validate_catalog()
     if args.json:
         print(json.dumps(results, indent=2))
     else:
@@ -296,8 +302,7 @@ def cmd_order_check(args, parser: argparse.ArgumentParser) -> int:
             except OverflowError:
                 parser.error(f"{flag}: too large for a float once divided by the "
                              "leading coefficient")
-        formula = DifferenceFormula(None, p, c)
-        checks.append(("custom", formula, args.claimed))
+        checks.append(("custom", DifferenceFormula(p, c), args.claimed))
     elif args.seed is not None:
         _reject_ignored(parser, args, ("--c",), "with --seed")
         dims, formula = _seed_formula(parser, args)
@@ -308,34 +313,17 @@ def cmd_order_check(args, parser: argparse.ArgumentParser) -> int:
         for kf in catalog():
             checks.append((kf.label, kf.to_formula(), kf.claimed_order))
 
-    rows = [
-        empirical_order(f, claimed, formula_id=label) for label, f, claimed in checks
-    ]
+    rows = [(label, claimed, empirical_order(f, claimed)) for label, f, claimed in checks]
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "id": r.formula_id,
-                        "claimed": r.claimed_order,
-                        "slope": r.fitted_slope,
-                        "underflow": r.underflow,
-                        "pass": r.passed,
-                    }
-                    for r in rows
-                ],
-                indent=2,
-            )
-        )
+        print(json.dumps([{"id": label, "claimed": claimed, "slope": r.fitted_slope,
+                           "underflow": r.underflow, "pass": r.passed}
+                          for label, claimed, r in rows], indent=2))
     else:
         print(f"{'id':18} {'claimed':>7} {'slope':>8} {'underflow':9} {'pass':4}")
-        for r in rows:
+        for label, claimed, r in rows:
             slope = "--" if r.fitted_slope is None else f"{r.fitted_slope:.3f}"
-            print(
-                f"{r.formula_id:18} {r.claimed_order:>7} {slope:>8} "
-                f"{str(r.underflow):9} {str(r.passed):4}"
-            )
-    return 0 if all(r.passed for r in rows) else 1
+            print(f"{label:18} {claimed:>7} {slope:>8} {str(r.underflow):9} {str(r.passed):4}")
+    return 0 if all(r.passed for _, _, r in rows) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,11 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate-known", help="check the built-in formula catalog")
     v.add_argument("--json", action="store_true", help="machine-readable report")
-    v.add_argument(
-        "--corrupt",
-        choices=tuple("ABCDEF"),
-        help="deliberately break one entry (negative control)",
-    )
     v.set_defaults(func=cmd_validate_known, parser=v)
 
     o = sub.add_parser("order-check", help="empirical truncation-order measurement")

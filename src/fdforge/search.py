@@ -165,13 +165,12 @@ class Candidate:
 class SearchResult:
     """Aggregate outcome of a discovery session."""
 
-    config: SearchConfig
     candidates: tuple
     attempts: int
     failure_plateaus: tuple
 
 
-def bfgs(fg, z0: np.ndarray, *, max_iter: int = MAX_ITER):
+def bfgs(fg, z0: np.ndarray):
     """Minimize from ``z0`` by BFGS with a weak Wolfe line search, as Lewis &
     Overton (Math. Program. 141, 2013) run it on nonsmooth functions such as
     a root radius; returns (z, h, nit): the last accepted point, its value
@@ -187,8 +186,8 @@ def bfgs(fg, z0: np.ndarray, *, max_iter: int = MAX_ITER):
     at most LINE_SEARCH_TRIALS trials until sufficient decrease (WOLFE_C1)
     and weak curvature (WOLFE_C2) hold; a trial without a gradient counts as
     too long.  The polish stops at h <= 1 - FLOOR_MARGIN, when the line
-    search fails or the gradient vanishes, or after ``max_iter`` steps; a
-    start without a gradient returns (z0, PENALTY, 0).
+    search fails or the gradient vanishes, or after MAX_ITER steps; a start
+    without a gradient returns (z0, PENALTY, 0).
     """
     value, gradient = fg
     z = np.asarray(z0, dtype=float)
@@ -196,7 +195,7 @@ def bfgs(fg, z0: np.ndarray, *, max_iter: int = MAX_ITER):
     if g is None:
         return z, PENALTY, 0
     eye = np.eye(z.size)
-    inv_h, nit = eye, 0
+    inv_h, nit, max_iter = eye, 0, MAX_ITER
     while nit < max_iter and h > 1.0 - FLOOR_MARGIN:
         d = -inv_h @ g
         if not g @ d < 0.0:
@@ -237,14 +236,14 @@ def random_seed(s: int, rng: np.random.Generator) -> np.ndarray:
     return y
 
 
-def perturb(y: np.ndarray, rng: np.random.Generator, scale: float) -> np.ndarray:
-    """Gaussian kick around ``y`` sized by its largest entry.
+def perturb(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Gaussian kick around ``y`` of PERTURB_SCALE times its largest entry.
 
-    scale = 0 returns y unchanged; otherwise the (probability-zero) event
-    of landing exactly on the zero vector triggers a redraw.
+    A zero y returns a copy unchanged; otherwise the (probability-zero)
+    event of landing exactly on the zero vector triggers a redraw.
     """
     y = np.asarray(y, dtype=float)
-    amp = scale * float(np.abs(y).max())
+    amp = PERTURB_SCALE * float(np.abs(y).max())
     if amp == 0.0:
         return y.copy()
     out = y + amp * rng.standard_normal(len(y))
@@ -342,7 +341,7 @@ def _run_outer(
     while budget > 0 and inner < inner_cap:
         inner += 1
         budget -= 1
-        y = perturb(best_y, rng, PERTURB_SCALE)
+        y = perturb(best_y, rng)
         fx, x, cand = attempt(y, inner)
         if fx < best_f:
             best_f, best_y = fx, x
@@ -429,7 +428,6 @@ def discover(
                 candidates.append(cand)
 
     return SearchResult(
-        config=config,
         candidates=tuple(candidates),
         attempts=attempts,
         failure_plateaus=tuple(plateaus),

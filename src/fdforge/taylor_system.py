@@ -1,9 +1,9 @@
 """Seed-driven construction of one-step-ahead finite difference formulas.
 
 A look-ahead formula predicts the next state x_{j+1} from the current and
-earlier states x_j, ..., x_{j-ell} plus the current derivative dx_j, so the
-next value is available before its time instant arrives.  The construction
-runs in two stages:
+earlier states x_j, ..., x_{j-ell} (ell = k+s-1) plus the current
+derivative dx_j, so the next value is available before its time instant
+arrives.  The construction runs in two stages:
 
 1. Write the Taylor expansions of x_{j+1}, x_{j-1}, ..., x_{j-ell} around
    t_j and collect the coefficients of the derivative orders 2 .. k+1 into
@@ -94,9 +94,10 @@ class Dimensions:
 
     k is the number of derivative orders to cancel (orders 2 .. k+1), s the
     seed length.  Everything else is derived: the formula reaches back to
-    x_{j-ell} with ell = k+s-1, its characteristic polynomial has degree
-    k+s, and the nominal truncation order is k+2.  Any positive k and s are
-    valid; ``search.SearchConfig`` warns about those the search rarely solves.
+    x_{j-ell} (ell = k+s-1, see the module docstring), its characteristic
+    polynomial has degree k+s, and the nominal truncation order is k+2.
+    Any positive k and s are valid; ``search.SearchConfig`` warns about
+    those the search rarely solves.
     """
 
     k: int
@@ -105,10 +106,6 @@ class Dimensions:
     def __post_init__(self):
         _check_int("k", self.k, 1)
         _check_int("s", self.s, 1)
-
-    @property
-    def ell(self) -> int:
-        return self.k + self.s - 1
 
     @property
     def degree(self) -> int:
@@ -174,24 +171,14 @@ class DifferenceFormula:
 
     p holds the k+s+1 polynomial coefficients, highest power first and
     normalized to p[0] = 1; c is the weight of tau * dx_j.  Coefficients are
-    all Fraction (exact path) or all float (float path).  dims is None for
-    formulas entered by hand rather than generated from a seed.
+    all Fraction (exact path) or all float (float path).
     """
 
-    dims: Union[Dimensions, None]
     p: tuple
     c: Union[float, Fraction]
 
-    @property
-    def degree(self) -> int:
-        return len(self.p) - 1
-
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.c, Fraction)
-
     def as_float(self) -> "DifferenceFormula":
-        return DifferenceFormula(self.dims, tuple(float(v) for v in self.p), float(self.c))
+        return DifferenceFormula(tuple(float(v) for v in self.p), float(self.c))
 
 
 def build_taylor_matrix(dims: Dimensions) -> tuple:
@@ -291,7 +278,7 @@ def seed_to_formula(dims: Dimensions, y: Sequence, *, exact: bool = False) -> Di
             raise NonNormalizableSeedError("normalized null vector overflows float64")
         p = (1.0, float(-total), *(float(v) for v in q[1:]))
         c = 1.0 - float(np.arange(1.0, d) @ q[1:])
-        return DifferenceFormula(dims, p, c)
+        return DifferenceFormula(p, c)
     if len(y) != dims.s:
         raise ValueError(f"seed length {len(y)} != s = {dims.s}")
     ys = [Fraction(v) for v in y]
@@ -307,4 +294,4 @@ def seed_to_formula(dims: Dimensions, y: Sequence, *, exact: bool = False) -> Di
     q = [v / lead for v in q]
     p = (Fraction(1), -sum(q), *q[1:])
     c = 1 - sum(i * q[i] for i in range(1, d))
-    return DifferenceFormula(dims, p, c)
+    return DifferenceFormula(p, c)

@@ -13,7 +13,9 @@ Three kinds of evidence about a difference formula live here:
   ones.
 
 Exact derivatives are supplied analytically so the measurements isolate
-the formula's own defect from any derivative-estimation error.
+the formula's own defect from any derivative-estimation error.  The result
+records hold only measurements and verdicts; the formula, its label and
+the claimed order stay with the caller that passed them in.
 
 Order labels are treated as lower bounds on the measured slope: the
 symmetric Euler formula (A) carries the label 2 but measures slope 3 on
@@ -25,14 +27,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
 from .charpoly import analyze_formula
-from .taylor_system import DifferenceFormula, Dimensions
+from .taylor_system import DifferenceFormula
 
 __all__ = [
     "SLOPE_TOL",
@@ -100,11 +102,8 @@ class KnownFormula:
     def to_formula(self) -> DifferenceFormula:
         """Normalized exact DifferenceFormula (leading coefficient 1)."""
         lead = Fraction(self.char_poly[0])
-        p = tuple(Fraction(v) / lead for v in self.char_poly)
-        degree = len(p) - 1
-        k = max(1, self.claimed_order - 2)
-        dims = Dimensions(k, degree - k)
-        return DifferenceFormula(dims, p, Fraction(self.c))
+        return DifferenceFormula(tuple(Fraction(v) / lead for v in self.char_poly),
+                                 Fraction(self.c))
 
 
 def catalog() -> list[KnownFormula]:
@@ -163,13 +162,12 @@ def catalog() -> list[KnownFormula]:
 
 @dataclass(frozen=True)
 class OrderCheckResult:
-    """Outcome of fitting the residual decay rate of one formula."""
+    """Outcome of fitting the residual decay rate of one formula: the
+    |residual| at each step size of the fit (tau = 2^-3 .. 2^-10), the
+    fitted slope (None when unfittable), and the verdict."""
 
-    formula_id: str
-    taus: tuple
     residuals: tuple
     fitted_slope: Optional[float]
-    claimed_order: int
     passed: bool
     underflow: bool
 
@@ -178,10 +176,6 @@ class OrderCheckResult:
 class RecurrenceRun:
     """Outcome of iterating one formula against a test function."""
 
-    formula: DifferenceFormula
-    function_id: str
-    tau: float
-    steps: int
     max_error: float
     diverged: bool
 
@@ -203,12 +197,7 @@ def residual(f: DifferenceFormula, x: TestFunction, t: float, tau: float) -> flo
     return acc - float(f.c) * tau * x.derivative(t)
 
 
-def empirical_order(
-    f: DifferenceFormula,
-    claimed: int,
-    *,
-    formula_id: str = "?",
-) -> OrderCheckResult:
+def empirical_order(f: DifferenceFormula, claimed: int) -> OrderCheckResult:
     """Measure the truncation order of ``f`` on x = e^t at t = 0.
 
     |residual| is sampled over tau = 2^-3 .. 2^-10 and the slope of
@@ -224,27 +213,11 @@ def empirical_order(
     res = tuple(abs(residual(f, EXP, 0.0, tau)) for tau in _ORDER_TAUS)
     usable = [(tau, r) for tau, r in zip(_ORDER_TAUS, res) if r >= UNDERFLOW]
     if len(usable) < 2:
-        return OrderCheckResult(
-            formula_id=formula_id,
-            taus=_ORDER_TAUS,
-            residuals=res,
-            fitted_slope=None,
-            claimed_order=claimed,
-            passed=True,
-            underflow=True,
-        )
+        return OrderCheckResult(res, None, passed=True, underflow=True)
     lt = np.log([tau for tau, _ in usable])
     lr = np.log([r for _, r in usable])
     slope = float(np.polyfit(lt, lr, 1)[0])
-    return OrderCheckResult(
-        formula_id=formula_id,
-        taus=_ORDER_TAUS,
-        residuals=res,
-        fitted_slope=slope,
-        claimed_order=claimed,
-        passed=slope >= claimed - SLOPE_TOL,
-        underflow=False,
-    )
+    return OrderCheckResult(res, slope, passed=slope >= claimed - SLOPE_TOL, underflow=False)
 
 
 def simulate(
@@ -296,30 +269,20 @@ def simulate(
         if err > max_error:
             max_error = err
 
-    return RecurrenceRun(
-        formula=f,
-        function_id=x.name,
-        tau=tau,
-        steps=steps,
-        max_error=max_error,
-        diverged=diverged,
-    )
+    return RecurrenceRun(max_error=max_error, diverged=diverged)
 
 
-def validate_catalog(*, corrupt: Optional[str] = None) -> list[dict]:
+def validate_catalog() -> list[dict]:
     """Full integrity check of the catalog; one result dict per entry.
 
     Each entry is checked for p(1) = 0, p'(1) = c (both exact), the
     root condition, the empirical order, and a bounded sin-t simulation
-    (1000 steps of tau = 0.01).
-    ``corrupt`` perturbs the named entry's trailing coefficient before
-    checking — a negative control proving the harness can fail.
+    (1000 steps of tau = 0.01).  The dict echoes the entry's label and
+    claimed order next to those measurements and their overall verdict
+    ``ok``.
     """
     out = []
     for kf in catalog():
-        if corrupt == kf.label:
-            # breaks p(1) = 0 and, generically, the roots
-            kf = replace(kf, char_poly=(*kf.char_poly[:-1], kf.char_poly[-1] + 1))
         formula = kf.to_formula()
         p = formula.p
 
@@ -327,7 +290,7 @@ def validate_catalog(*, corrupt: Optional[str] = None) -> list[dict]:
         dp_at_1 = sum(i * p[len(p) - 1 - i] for i in range(1, len(p)))
         c_matches = dp_at_1 == kf.c
         report = analyze_formula(formula)
-        order = empirical_order(formula, kf.claimed_order, formula_id=kf.label)
+        order = empirical_order(formula, kf.claimed_order)
         run = simulate(formula, SIN, 0.01, 1000)
         ok = (
             sums_to_zero

@@ -207,15 +207,14 @@ def test_criterion_5_truncation_orders(capsys, search_33_small, search_44_ref,
     counts = {}
     try:
         for kf in catalog():
-            oc = empirical_order(kf.to_formula(), kf.claimed_order,
-                                 formula_id=kf.label)
+            oc = empirical_order(kf.to_formula(), kf.claimed_order)
             assert oc.passed, kf.label
             assert oc.fitted_slope is not None
             assert oc.fitted_slope >= kf.claimed_order - 0.3
         for tag, (res, _) in (("3,3", search_33_small), ("4,4", search_44_ref),
                               ("5,5", search_55_ref), ("6,6", search_66_seeded)):
             assert res.candidates, f"no formulas discovered at ({tag})"
-            claimed = res.config.dims.order
+            claimed = Dimensions(*map(int, tag.split(","))).order
             for cand in res.candidates:
                 oc = empirical_order(cand.formula, claimed)
                 assert oc.passed, (tag, cand.formula.p, oc.fitted_slope)
@@ -264,7 +263,7 @@ def test_criterion_7_stability_harness(capsys, search_33_small, search_44_ref,
                 assert not run.diverged, cand.formula.p
                 assert half.max_error < run.max_error, cand.formula.p
                 checked += 1
-        bad = DifferenceFormula(None, (1.0, -2.1, 1.1), -0.1)
+        bad = DifferenceFormula((1.0, -2.1, 1.1), -0.1)
         assert simulate(bad, SIN, tau=0.01, steps=10_000).diverged
         ok = True
     finally:

@@ -6,11 +6,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from fdforge import Dimensions, analyze_formula, cli, seed_to_formula
+from fdforge import Dimensions, analyze_formula, cli, seed_to_formula, validation
 
 
 def run_cli(*args, env_extra=None, timeout=180):
@@ -114,6 +115,20 @@ def test_discover_output_file_byte_identical(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_discover_unwritable_output_is_a_usage_error_before_the_search(
+        tmp_path, monkeypatch, capsys):
+    # refused before the search starts, so no finished search loses its rows
+    calls = []
+    monkeypatch.setattr(cli, "discover", lambda *a, **kw: calls.append(a))
+    target = tmp_path / "missing" / "out.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["discover", "--k", "2", "--s", "2", "--runs", "1", "--output", str(target)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fdforge discover ") and "--output" in err
+    assert calls == []
+
+
 def test_discover_rejects_zero_runs():
     r = run_cli("discover", "--k", "2", "--s", "2", "--runs", "0")
     assert r.returncode == 2
@@ -210,13 +225,25 @@ def test_validate_known_json():
     assert all(row["root_at_1"] for row in rows)
 
 
-def test_validate_known_detects_corruption():
-    r = run_cli("validate-known", "--corrupt", "E", "--json")
-    assert r.returncode == 1
-    rows = {row["label"]: row for row in json.loads(r.stdout)}
+def test_validate_known_detects_corruption(monkeypatch, capsys):
+    # negative control: E's trailing coefficient raised by 1 breaks p(1) = 0
+    entries = [replace(kf, char_poly=(*kf.char_poly[:-1], kf.char_poly[-1] + 1))
+               if kf.label == "E" else kf for kf in validation.catalog()]
+    monkeypatch.setattr(validation, "catalog", lambda: entries)
+    assert cli.main(["validate-known", "--json"]) == 1
+    rows = {row["label"]: row for row in json.loads(capsys.readouterr().out)}
     assert not rows["E"]["ok"]
     assert not rows["E"]["root_at_1"]
     assert all(rows[l]["ok"] for l in "ABCDF")
+
+
+def test_validate_known_has_no_corrupt_option(capsys):
+    # the negative control is the test above, not an option of the command
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate-known", "--corrupt", "E"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fdforge ") and "--corrupt" in err
 
 
 # -------------------------------------------------------------- order-check

@@ -1,6 +1,8 @@
-"""Source hygiene: no module in src/, tests/ or demos/ imports a name it never uses."""
+"""Source hygiene: no module in src/, tests/ or demos/ imports a name it never
+uses, and every name a package module exports exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -52,3 +54,16 @@ def test_unused_import_detection():
         "def f(a: Optional[int]): return os.sep\n"
     )
     assert unused_imports(tree) == [(2, "Seq")]
+
+
+PACKAGE_MODULES = ["fdforge"] + [
+    f"fdforge.{path.stem}" for path in sorted((ROOT / "src" / "fdforge").glob("*.py"))
+    if not path.stem.startswith("__")
+]
+
+
+@pytest.mark.parametrize("module", PACKAGE_MODULES)
+def test_every_export_resolves(module):
+    # a name removed from a module but left in an __all__ fails here
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

@@ -34,6 +34,7 @@ from fdforge.search import (
     WOLFE_C1,
     WOLFE_C2,
     SearchConfig,
+    SearchResult,
     bfgs,
     discover,
     perturb,
@@ -382,12 +383,14 @@ def test_nm_never_worse_than_start():
             assert nit <= MAX_ITER
 
 
-def test_nm_respects_iteration_cap():
+def test_nm_respects_iteration_cap(monkeypatch):
     fg = deflated_radius(Dimensions(4, 4))
     z0 = on_plane(Dimensions(4, 4), np.array([1.0, 2.0, 3.0, 4.0]))
-    assert bfgs(fg, z0, max_iter=50)[2] <= 50
+    monkeypatch.setattr(search, "MAX_ITER", 50)
+    assert bfgs(fg, z0)[2] <= 50
     fg, points = plane_points(Dimensions(5, 5), 10, np.random.default_rng(3))
-    capped = [bfgs(fg, z0, max_iter=3)[2] for z0 in points]
+    monkeypatch.setattr(search, "MAX_ITER", 3)
+    capped = [bfgs(fg, z0)[2] for z0 in points]
     assert max(capped) == 3
 
 
@@ -497,16 +500,17 @@ def test_random_seed_distribution():
 
 
 def test_perturb_zero_scale_is_identity():
-    y = np.array([1.0, -4.0, 2.5])
-    out = perturb(y, np.random.default_rng(1), 0.0)
+    # the kick is PERTURB_SCALE * max|y|, so zero for a zero seed
+    y = np.zeros(3)
+    out = perturb(y, np.random.default_rng(1))
     assert np.array_equal(out, y)
     assert out is not y
 
 
 def test_perturb_reproducible_and_nonzero():
     y = np.array([2.0, -1.0])
-    a = perturb(y, np.random.default_rng(9), 0.1)
-    b = perturb(y, np.random.default_rng(9), 0.1)
+    a = perturb(y, np.random.default_rng(9))
+    b = perturb(y, np.random.default_rng(9))
     assert np.array_equal(a, b)
     assert np.any(a)
 
@@ -514,11 +518,11 @@ def test_perturb_reproducible_and_nonzero():
 def test_perturb_displacement_scales_linearly():
     y = np.array([1.0, -3.0, 0.5, 2.0])
     d1 = np.mean(
-        [np.abs(perturb(y, g, 0.1) - y).mean()
+        [np.abs(perturb(y, g) - y).mean()
          for g in map(np.random.default_rng, range(2000))]
     )
     d2 = np.mean(
-        [np.abs(perturb(y, g, 0.2) - y).mean()
+        [np.abs(perturb(2 * y, g) - 2 * y).mean()
          for g in map(np.random.default_rng, range(2000))]
     )
     assert d2 / d1 == pytest.approx(2.0, rel=0.05)
@@ -552,6 +556,9 @@ def test_config_validation():
     cfg = SearchConfig(dims=d, runs=1, restarts=1)
     assert cfg.nm_max_iter == MAX_ITER == 200 and cfg.penalty == PENALTY
     assert [f.name for f in fields(cfg)] == ["dims", "runs", "restarts", "rng_seed"]
+    # and a result holds the outcome only: its config stays with the caller
+    assert [f.name for f in fields(SearchResult)] == [
+        "candidates", "attempts", "failure_plateaus"]
 
 
 @pytest.mark.parametrize("k, s, match", [

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fdforge.taylor_system import (
+    DifferenceFormula,
     Dimensions,
     NonNormalizableSeedError,
     PivotDisplacementError,
@@ -35,7 +36,6 @@ def nullvector(f):
 
 def test_dimensions_derived_quantities():
     d = Dimensions(3, 5)
-    assert d.ell == 7
     assert d.degree == 8
     assert d.order == 5
     assert Dimensions(np.int64(3), np.int64(5)) == d  # NumPy integers pass
@@ -227,7 +227,7 @@ def test_formula_reference_2_2_exact():
     f = seed_to_formula(Dimensions(2, 2), [F(-5), F(2)], exact=True)
     assert f.p == (F(1), F(1, 8), F(-3, 4), F(-5, 8), F(1, 4))
     assert f.c == F(9, 4)
-    assert f.exact
+    assert all(isinstance(v, F) for v in (*f.p, f.c))
 
 
 def test_formula_reference_3_3_exact():
@@ -252,7 +252,7 @@ def test_formula_euler_from_1_1():
 
 def test_formula_float_path_matches_exact():
     f = seed_to_formula(Dimensions(2, 2), [-5.0, 2.0])
-    assert not f.exact
+    assert all(isinstance(v, float) for v in (*f.p, f.c))
     assert np.allclose(f.p, [1.0, 0.125, -0.75, -0.625, 0.25], atol=1e-14)
     assert abs(f.c - 2.25) < 1e-14
 
@@ -293,7 +293,7 @@ def test_structural_identities_exact_random():
             except NonNormalizableSeedError:
                 continue
             assert sum(f.p) == 0
-            degree = f.degree
+            degree = len(f.p) - 1
             dp1 = sum(i * f.p[degree - i] for i in range(1, degree + 1))
             assert dp1 == f.c
 
@@ -318,10 +318,18 @@ def test_structural_identities_float_random():
 def test_difference_formula_as_float():
     f = seed_to_formula(Dimensions(1, 1), [1], exact=True)
     g = f.as_float()
-    assert not g.exact
+    assert all(isinstance(v, float) for v in (*g.p, g.c))
     assert g.p == (1.0, 0.0, -1.0)
     assert g.c == 2.0
-    assert g.degree == f.degree == 2
+    assert len(g.p) == len(f.p) == 3
+
+
+def test_difference_formula_is_p_and_c():
+    # a formula is its polynomial and derivative weight, whatever built it
+    assert [f.name for f in fields(DifferenceFormula)] == ["p", "c"]
+    f = seed_to_formula(Dimensions(1, 1), [F(3)], exact=True)
+    assert f == DifferenceFormula((F(1), F(0), F(-1)), F(2))
+    assert f.as_float() == DifferenceFormula((1.0, 0.0, -1.0), 2.0)
 
 
 def test_large_seed_magnitude_ranges():

@@ -1,7 +1,7 @@
 """Catalog integrity, truncation-order measurement, recurrence simulation."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +9,12 @@ import pytest
 
 import fdforge.validation as validation
 from fdforge.charpoly import analyze_formula
-from fdforge.taylor_system import DifferenceFormula, Dimensions
+from fdforge.taylor_system import DifferenceFormula, Dimensions, seed_to_formula
 from fdforge.validation import (
     BLOWUP_THRESHOLD,
     EXP,
     SIN,
+    OrderCheckResult,
     RecurrenceRun,
     catalog,
     empirical_order,
@@ -57,7 +58,7 @@ def test_catalog_derivative_weight_consistency():
     # p'(1) = c for the normalized polynomial, exactly
     for kf in catalog():
         f = kf.to_formula()
-        d = f.degree
+        d = len(f.p) - 1
         dp1 = sum(i * f.p[d - i] for i in range(1, d + 1))
         assert dp1 == kf.c, kf.label
 
@@ -71,7 +72,7 @@ def test_catalog_all_convergent():
 def test_catalog_e_matches_seed_session_polynomial():
     e = {kf.label: kf for kf in catalog()}["E"].to_formula()
     assert e.p == (F(1), F(1, 8), F(-3, 4), F(-5, 8), F(1, 4))
-    assert e.dims == Dimensions(2, 2)
+    assert e == seed_to_formula(Dimensions(2, 2), [F(-5), F(2)], exact=True)
 
 
 def test_catalog_second_magnitudes():
@@ -133,7 +134,7 @@ def test_monomial_basics():
 
 def test_catalog_orders_pass():
     for kf in catalog():
-        res = empirical_order(kf.to_formula(), kf.claimed_order, formula_id=kf.label)
+        res = empirical_order(kf.to_formula(), kf.claimed_order)
         assert res.passed, (kf.label, res.fitted_slope)
         assert not res.underflow
 
@@ -167,12 +168,18 @@ def test_order_check_underflow_flag(monkeypatch):
 
 
 def test_order_result_reports_all_taus():
-    res = empirical_order(catalog()[4].to_formula(), 4, formula_id="E")
-    assert res.formula_id == "E"
-    assert len(res.taus) == 8
-    assert res.taus[0] == 0.125
-    assert res.taus[-1] == 2.0**-10
+    e = catalog()[4].to_formula()
+    res = empirical_order(e, 4)
     assert len(res.residuals) == 8
+    # one |residual| per tau = 2^-3 .. 2^-10, in that order
+    assert res.residuals == tuple(abs(residual(e, EXP, 0.0, 2.0**-n)) for n in range(3, 11))
+
+
+def test_results_hold_only_measurements():
+    # the formula, its label and the claimed order stay with the caller
+    assert [f.name for f in fields(OrderCheckResult)] == [
+        "residuals", "fitted_slope", "passed", "underflow"]
+    assert [f.name for f in fields(RecurrenceRun)] == ["max_error", "diverged"]
 
 
 # ------------------------------------------------------------------ simulate
@@ -184,8 +191,6 @@ def test_simulate_e_on_sin_regression():
     assert not run.diverged
     # frozen regression baseline from the first validated run
     assert run.max_error == pytest.approx(3.8885272679589633e-07, rel=1e-6)
-    assert run.function_id == "sin"
-    assert run.steps == 1000
 
 
 def test_simulate_halving_tau_shrinks_error():
@@ -198,7 +203,7 @@ def test_simulate_halving_tau_shrinks_error():
 
 
 def test_simulate_divergent_polynomial():
-    bad = DifferenceFormula(None, (1.0, -2.1, 1.1), -0.1)
+    bad = DifferenceFormula((1.0, -2.1, 1.1), -0.1)
     run = simulate(bad, SIN, 0.01, 10000)
     assert run.diverged
     assert run.max_error > 1e9
@@ -208,9 +213,9 @@ def test_simulate_divergent_polynomial():
 
 def test_any_root_beyond_1_05_diverges():
     cases = [
-        DifferenceFormula(None, (1.0, -2.1, 1.1), -0.1),     # roots {1, 1.1}
-        DifferenceFormula(None, (1.0, 0.0, -1.21), 2.0),     # roots ±1.1
-        DifferenceFormula(None, (1.0, -0.05, -1.103), 1.0),  # max root 1.075
+        DifferenceFormula((1.0, -2.1, 1.1), -0.1),     # roots {1, 1.1}
+        DifferenceFormula((1.0, 0.0, -1.21), 2.0),     # roots ±1.1
+        DifferenceFormula((1.0, -0.05, -1.103), 1.0),  # max root 1.075
     ]
     for f in cases:
         assert max(abs(z) for z in np.roots(f.p)) >= 1.05
@@ -254,7 +259,7 @@ def simulate_reference(f, x, tau, steps, *, t0=0.0, blowup_threshold=BLOWUP_THRE
     forcing and fsum over the same products, one generator per step."""
     p = [float(v) for v in f.p]
     c = float(f.c)
-    d = f.degree
+    d = len(f.p) - 1
 
     hist = [x.value(t0 + j * tau) for j in range(d)]
     max_error = 0.0
@@ -274,14 +279,7 @@ def simulate_reference(f, x, tau, steps, *, t0=0.0, blowup_threshold=BLOWUP_THRE
         if err > max_error:
             max_error = err
 
-    return RecurrenceRun(
-        formula=f,
-        function_id=x.name,
-        tau=tau,
-        steps=steps,
-        max_error=max_error,
-        diverged=diverged,
-    )
+    return RecurrenceRun(max_error=max_error, diverged=diverged)
 
 
 def run_bits(run):
@@ -305,7 +303,7 @@ def test_simulate_bit_identical_to_reference_loop(label):
 
 
 def test_simulate_bit_identical_on_divergent_and_empty_runs():
-    bad = DifferenceFormula(None, (1.0, -3.0, 2.0), -1.0)  # roots 1 and 2
+    bad = DifferenceFormula((1.0, -3.0, 2.0), -1.0)  # roots 1 and 2
     runs = [(bad, 400), (bad, 10000), (catalog()[4].to_formula(), 0)]
     for f, steps in runs:
         new = simulate(f, SIN, 0.01, steps)
@@ -315,7 +313,7 @@ def test_simulate_bit_identical_on_divergent_and_empty_runs():
 
 def test_simulate_divergence_stops_early():
     # max_error is the error at the detection point, not a later blowup value
-    bad = DifferenceFormula(None, (1.0, -2.1, 1.1), -0.1)
+    bad = DifferenceFormula((1.0, -2.1, 1.1), -0.1)
     r1 = simulate(bad, SIN, 0.01, 10000)
     r2 = simulate(bad, SIN, 0.01, 400)
     if r2.diverged:
@@ -331,8 +329,16 @@ def test_validate_catalog_all_ok():
     assert all(r["ok"] for r in results)
 
 
-def test_validate_catalog_corruption_detected():
-    results = validate_catalog(corrupt="E")
+def with_e_corrupted():
+    """The catalog with E's trailing coefficient raised by 1, which breaks
+    p(1) = 0: a negative control that the checks can fail."""
+    return [replace(kf, char_poly=(*kf.char_poly[:-1], kf.char_poly[-1] + 1))
+            if kf.label == "E" else kf for kf in catalog()]
+
+
+def test_validate_catalog_corruption_detected(monkeypatch):
+    monkeypatch.setattr(validation, "catalog", with_e_corrupted)
+    results = validate_catalog()
     by_label = {r["label"]: r for r in results}
     assert not by_label["E"]["ok"]
     assert not by_label["E"]["root_at_1"]
