@@ -45,21 +45,17 @@ near-miss basins.
 Reproducibility: every outer run owns a child of one ``SeedSequence``, so
 results are a pure function of the rng seed, and an outer run's outcome
 depends on its own child only: the first R runs of a longer session find
-exactly what a session of R runs finds.  So the outer runs are shared out
-over worker processes forked from the caller, one per usable CPU (at most
-one per run), and their outcomes are aggregated in (outer, inner) order
-as if they had run one after another: the number of workers changes no
-result.  Processes, not threads: the loop holds the GIL, and a thread pool
-was measured slower than one thread.  Candidate lists are deduplicated by
-polynomial coefficients.
+exactly what a session of R runs finds.  The outer runs run one after
+another in the calling process: a discover-44 search takes about 0.1 s,
+and on two CPUs a pool of worker processes doubled its CPU time, through
+the pool's fixed cost and two busy runs slowing each other, without
+shortening it; a thread pool is held back by the GIL.  Candidate lists are
+deduplicated by polynomial coefficients.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence
@@ -279,9 +275,12 @@ def _run_outer(
 
     def onto_plane(y0: np.ndarray) -> np.ndarray:
         """z of the start point y0 / (b·y0), which spawns the formula of y0;
-        of the orthogonal projection of y0 when b·y0 is zero or not finite."""
-        t = b @ y0
-        return plane.T @ (y0 / t if t != 0.0 and np.isfinite(t) else y0)
+        of the orthogonal projection of y0 when b·y0 is zero or not finite.
+        y0 is first scaled exactly by a power of two, as in seed_to_formula,
+        so that b·y0 cannot overflow."""
+        y = np.ldexp(y0, -math.frexp(np.abs(y0).max())[1])
+        t = b @ y
+        return plane.T @ (y / t if t != 0.0 and np.isfinite(t) else y0)
 
     found: list[Candidate] = []
     attempts = 0
@@ -357,19 +356,6 @@ def _run_outer(
     return found, attempts, plateau
 
 
-def _worker_count(runs: int) -> int:
-    """Number of processes for ``runs`` outer runs: one per CPU this process
-    may run on, at most one per run.  One, so no fork, where ``os.fork`` or
-    ``os.sched_getaffinity`` is missing, and in a daemonic multiprocessing
-    worker, which may not have children."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    mp = sys.modules.get("multiprocessing")  # a daemonic caller imported it
-    if mp is not None and mp.current_process().daemon:
-        return 1
-    return min(runs, len(os.sched_getaffinity(0)))
-
-
 def discover(
     config: SearchConfig,
     *,
@@ -384,14 +370,9 @@ def discover(
     ``runs`` is, as long as it is > i.  A start point that is not s finite
     numbers raises ValueError.
 
-    The outer runs are shared out over ``min(runs, usable CPUs)`` processes
-    forked from the caller, which take the next run as they finish one;
-    ``taskset -c 0`` makes it one, and one runs them in this process
-    without importing ``multiprocessing``.  The workers are reaped before
-    this returns, so no process outlives the call and their CPU time shows
-    in ``resource.getrusage(RUSAGE_CHILDREN)``.  Code patched into this
-    process before the call also runs in the workers, but what it records
-    there stays there.
+    The outer runs run one after another in this process, which starts no
+    thread or process of its own (README gives the trade against a pool of
+    worker processes).
     """
     init = None if initial_seed is None else np.asarray(initial_seed, dtype=float)
     if init is not None and init.shape != (config.dims.s,):
@@ -402,24 +383,11 @@ def discover(
         raise ValueError(f"initial seed must be finite, got {init.tolist()}")
 
     children = np.random.SeedSequence(config.rng_seed).spawn(config.runs)
-    jobs = [(config, i, ss, init if i == 0 else None) for i, ss in enumerate(children)]
-    workers = _worker_count(config.runs)
-    if workers == 1:
-        outcomes = itertools.starmap(_run_outer, jobs)
-    else:
-        import multiprocessing
-
-        # Fork: the workers are direct children, reaped by join(), and start
-        # with this process's modules loaded (spawn would import NumPy anew).
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            outcomes = pool.starmap(_run_outer, jobs, chunksize=1)
-            pool.close()
-            pool.join()
-
     candidates: list[Candidate] = []
     attempts = 0
     plateaus: list[float] = []
-    for found, n, plateau in outcomes:
+    for i, ss in enumerate(children):
+        found, n, plateau = _run_outer(config, i, ss, init if i == 0 else None)
         attempts += n
         if plateau is not None:
             plateaus.append(plateau)

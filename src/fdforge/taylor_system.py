@@ -264,6 +264,9 @@ def seed_to_formula(dims: Dimensions, y: Sequence, *, exact: bool = False) -> Di
         yv = np.asarray(y, dtype=float)
         if yv.shape != (dims.s,) or not np.isfinite(yv).all():
             raise ValueError(f"seed must be a finite vector of length s = {dims.s}")
+        # f(lam * y) = f(y), and a power of two scales exactly: 2^-e with e
+        # the exponent of max|y| keeps B @ y from overflowing.
+        yv = np.ldexp(yv, -math.frexp(np.abs(yv).max())[1])
         # -B @ y has the bits of -(B @ y): rounding is symmetric in sign.
         q = np.concatenate([-block.b_float @ yv, yv])
         # max|q| is 0 exactly when the seed is zero (then q is all zeros).

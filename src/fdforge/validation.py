@@ -69,13 +69,12 @@ _ORDER_TAUS = tuple(2.0 ** (-e) for e in range(3, 11))
 class TestFunction:
     """A scalar trajectory with its exact derivative."""
 
-    name: str
     value: Callable[[float], float]
     derivative: Callable[[float], float]
 
 
-EXP = TestFunction("exp", math.exp, math.exp)
-SIN = TestFunction("sin", math.sin, math.cos)
+EXP = TestFunction(math.exp, math.exp)
+SIN = TestFunction(math.sin, math.cos)
 
 
 def monomial(r: int) -> TestFunction:
@@ -86,7 +85,7 @@ def monomial(r: int) -> TestFunction:
     def deriv(t: float) -> float:
         return 0.0 if r == 0 else r * t ** (r - 1)
 
-    return TestFunction(f"t^{r}", lambda t: t**r, deriv)
+    return TestFunction(lambda t: t**r, deriv)
 
 
 @dataclass(frozen=True)

@@ -229,8 +229,9 @@ def test_objective_penalty_cases():
 
 
 def test_objective_overflow_penalized_before_lapack(monkeypatch):
-    # a finite seed whose null vector overflows leaves a non-finite companion
-    # row; it scores the penalty and never reaches LAPACK
+    # a seed is scaled by a power of two before B @ y, so a huge finite seed
+    # scores what its ray scores, silently; a companion row that overflows,
+    # which only a polynomial given directly can have, raises before LAPACK
     rows = []
     eigvals = charpoly._eigvals
 
@@ -239,14 +240,19 @@ def test_objective_overflow_penalized_before_lapack(monkeypatch):
         return eigvals(a, **kw)
 
     monkeypatch.setattr(charpoly, "_eigvals", spy)
-    for k, s in [(2, 2), (3, 3), (4, 4)]:
-        f = objective_function(Dimensions(k, s))
-        for y in ([1e308] * s, [-1e308] * s, [1e307] * s):
-            with np.errstate(over="ignore", invalid="ignore"):
-                assert f(np.array(y)) == PENALTY
-    assert all(np.isfinite(r).all() for r in rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, s in [(2, 2), (3, 3), (4, 4)]:
+            f = objective_function(Dimensions(k, s))
+            for y in ([1e308] * s, [-1e308] * s, [1e307] * s):
+                assert f(np.array(y)) == pytest.approx(f(np.ones(s)), rel=1e-12)
+            # 2^1023 scales exactly: the same bits
+            assert f(np.ldexp(0.5, 1023) * np.ones(s)) == f(np.ones(s))
+        n = len(rows)
+        with pytest.raises(DegenerateInputError, match="overflows"):
+            find_roots([1e-300, 1e300, -1e300])
+    assert all(np.isfinite(r).all() for r in rows) and len(rows) == n
     # the spy sits on the path that a finite companion row takes
-    n = len(rows)
     objective_function(Dimensions(2, 2))(np.array([-5.0, 2.0]))
     assert len(rows) == n + 1
 

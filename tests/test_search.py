@@ -3,8 +3,8 @@
 import contextlib
 import contextvars
 import functools
+import hashlib
 import math
-import multiprocessing
 import os
 import resource
 import subprocess
@@ -13,7 +13,6 @@ import time
 import warnings
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -414,7 +413,6 @@ def test_nm_matches_the_numpy_loop_on_the_discover_44_polishes(monkeypatch):
         return bfgs(fg, z0, **kw)
 
     monkeypatch.setattr(search, "bfgs", record)
-    monkeypatch.setattr(search, "_worker_count", lambda runs: 1)  # record here
     discover(SearchConfig(dims=Dimensions(4, 4), runs=4, restarts=10, rng_seed=0))
     monkeypatch.undo()
     assert len(polishes) == 44
@@ -444,12 +442,11 @@ def test_nm_matches_the_numpy_loop_on_ties_and_nan(n):
 
 @pytest.fixture(scope="module")
 def search_66():
-    """The (6,6) search, runs 20, rng 0, from random starts only, in one
-    process, with its CPU time."""
-    with mock.patch.object(search, "_worker_count", lambda runs: 1):
-        t0 = time.process_time()
-        res = discover(SearchConfig(dims=Dimensions(6, 6), runs=20, restarts=10, rng_seed=0))
-        return res, time.process_time() - t0
+    """The (6,6) search, runs 20, rng 0, from random starts only, with its
+    CPU time."""
+    t0 = time.process_time()
+    res = discover(SearchConfig(dims=Dimensions(6, 6), runs=20, restarts=10, rng_seed=0))
+    return res, time.process_time() - t0
 
 
 def test_random_search_finds_order_8_formulas(search_66):
@@ -475,7 +472,6 @@ def test_tie_order_does_not_depend_on_numpy_sort(monkeypatch):
         res = discover(SearchConfig(dims=Dimensions(5, 5), runs=1, restarts=10, rng_seed=1))
         return bits((res.candidates, res.attempts, res.failure_plateaus))
 
-    monkeypatch.setattr(search, "_worker_count", lambda runs: 1)
     expected = search_55()
     monkeypatch.setattr(np, "argsort", reversed_ties_argsort)
     assert search_55() == expected
@@ -624,7 +620,6 @@ def test_a_convergent_start_is_solved_once(monkeypatch):
         return eigvals(a, **kw)
 
     monkeypatch.setattr(charpoly, "_eigvals", spy)
-    monkeypatch.setattr(search, "_worker_count", lambda runs: 1)  # count here
     res = discover(SearchConfig(Dimensions(3, 3), runs=1, restarts=1),
                    initial_seed=[1, 110, -40])
     assert res.candidates[0].iterations == 0 and len(solves) == 1
@@ -697,6 +692,23 @@ def test_discover_initial_seed_must_match_s():
         discover(cfg, initial_seed=[1.0, 2.0, 3.0])
 
 
+def test_a_huge_start_point_searches_as_its_ray_does():
+    # f(lam * y) = f(y), and a start point is scaled by a power of two before
+    # it meets B or b: a huge one is classified and polished silently, to
+    # the bits of its ray
+    y = np.array([0.5, 0.25, -0.75, 0.125])  # not convergent: it is polished
+    cfg = SearchConfig(dims=Dimensions(4, 4), runs=1, restarts=3)
+    one = SearchConfig(dims=Dimensions(2, 2), runs=1, restarts=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big, res = (discover(cfg, initial_seed=y0) for y0 in (np.ldexp(y, 1023), y))
+        huge, unit = (discover(one, initial_seed=y0) for y0 in ([1e308, -1e308], [1.0, -1.0]))
+    assert res.candidates[0].iterations > 0
+    assert bits(big) == bits(res)
+    assert huge.attempts == unit.attempts == 1 and not huge.failure_plateaus
+    assert huge.candidates[0].formula.p == pytest.approx(unit.candidates[0].formula.p, rel=1e-14)
+
+
 def test_discover_dedup_collapses_identical_formulas():
     # at (1, 1) every nonzero seed normalizes to the same formula, so five
     # runs still produce exactly one candidate
@@ -740,13 +752,14 @@ def test_discover_outer_runs_independent_of_run_count():
 def test_runtime_loads_no_scipy():
     # NumPy's LAPACK finds the roots and the search runs its own BFGS:
     # SciPy is a test oracle only, and loading any of it would cost set-up
-    # time and memory on every command.  A single outer run runs in the
-    # calling process, so discover --runs 1 does not import multiprocessing.
+    # time and memory on every command.  The outer runs run in the calling
+    # process, so no search imports multiprocessing.
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     commands = [["analyze", "--poly", "2,-3,2,-1"],
                 ["discover", "--k", "3", "--s", "3", "--runs", "1", "--restarts", "1"],
+                ["discover", "--k", "4", "--s", "4", "--runs", "4", "--restarts", "10"],
                 ["validate-known"]]
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -757,7 +770,7 @@ def test_runtime_loads_no_scipy():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] [] False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] [] False"
 
 
 def test_discover_candidates_audit_clean():
@@ -796,7 +809,7 @@ def test_discover_pairwise_distinct_candidates():
             assert np.abs(ps[i] - ps[j]).max() > 1e-8
 
 
-# ---------------------------------------------------------- worker processes
+# ------------------------------------------------------------- result bits
 
 
 def bits(obj):
@@ -813,45 +826,36 @@ def bits(obj):
     return obj
 
 
-@pytest.mark.parametrize("dims, runs, init", [
-    (Dimensions(4, 4), 4, None),
-    (Dimensions(3, 3), 6, None),
-    (Dimensions(2, 1), 3, None),  # s = 1: no polish runs
-    (Dimensions(2, 2), 3, [-5.0, 2.0]),
+def result_digest(res) -> str:
+    """The digest perfbench's discover workloads record: the bits of every
+    candidate's p, c and final seed, the attempts and the plateaus."""
+    h = hashlib.sha256()
+    for cand in res.candidates:
+        h.update(repr(([float(v).hex() for v in cand.formula.p], float(cand.formula.c).hex(),
+                       [v.hex() for v in cand.seed_final])).encode())
+    h.update(repr((res.attempts, [v.hex() for v in res.failure_plateaus])).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("dims, runs, init, digest", [
+    (Dimensions(4, 4), 4, None, "c4d583940ee71c90"),  # discover-44: 16 formulas
+    (Dimensions(3, 3), 6, None, "f5b09ca1edf9ffa1"),
+    (Dimensions(2, 1), 3, None, "4b2d242df98dbf51"),  # s = 1: no polish runs
+    (Dimensions(2, 2), 3, [-5.0, 2.0], "c2b27e8365449275"),
 ], ids=["4-4", "3-3", "2-1", "initial-seed"])
-def test_discover_results_do_not_depend_on_the_worker_count(monkeypatch, dims, runs, init):
+def test_discover_result_bits_are_pinned(dims, runs, init, digest):
     with pytest.warns(UserWarning) if dims.s < dims.k else contextlib.nullcontext():
         cfg = SearchConfig(dims=dims, runs=runs, restarts=10, rng_seed=0)
-    results = []
-    for workers in (1, 2):
-        monkeypatch.setattr(search, "_worker_count", lambda runs: workers)
-        results.append(discover(cfg, initial_seed=init))
-    one, two = results
-    assert bits(one) == bits(two)
+    assert result_digest(discover(cfg, initial_seed=init)) == digest
 
 
-def test_discover_reaps_its_workers_and_their_cpu_is_counted(monkeypatch):
-    monkeypatch.setattr(search, "_worker_count", lambda runs: 2)
-
+def test_discover_starts_no_process():
+    # the outer runs run in this process: no child's CPU time is added
     def child_cpu():
         ru = resource.getrusage(resource.RUSAGE_CHILDREN)
         return ru.ru_utime + ru.ru_stime
 
     before = child_cpu()
-    # outer runs 0 and 1 of the (4,4) reference stream, one per worker
+    # outer runs 0 and 1 of the (4,4) reference stream
     discover(SearchConfig(dims=Dimensions(4, 4), runs=2, restarts=10, rng_seed=0))
-    assert multiprocessing.active_children() == []
-    assert child_cpu() > before
-
-
-def test_worker_count_is_one_per_usable_cpu_and_one_in_a_daemon():
-    cpus = len(os.sched_getaffinity(0))
-    assert search._worker_count(1) == 1
-    assert search._worker_count(1000) == cpus
-    assert search._worker_count(2) == min(2, cpus)
-    # a pool worker is daemonic and may not fork children of its own
-    with multiprocessing.get_context("fork").Pool(1) as pool:
-        assert pool.apply_async(search._worker_count, (1000,)).get(timeout=60) == 1
-        pool.close()
-        pool.join()
-    assert multiprocessing.active_children() == []
+    assert child_cpu() == before

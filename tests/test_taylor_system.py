@@ -181,10 +181,29 @@ def test_nullvector_rejects_zero_seed_and_bad_length():
             seed_to_formula(d, [0.0, 0.0], exact=exact)
         with pytest.raises(ValueError):
             seed_to_formula(d, [1.0, 2.0, 3.0], exact=exact)
-    # non-finite seeds, and a finite seed whose null vector overflows
-    for y in ([np.nan, 1.0], [np.inf, 1.0], [1e308, 1e308]):
-        with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
+    for y in ([np.nan, 1.0], [np.inf, 1.0]):
+        with pytest.raises(ValueError):
             seed_to_formula(d, y)
+
+
+def test_float_seed_scaled_by_a_power_of_two_keeps_its_bits():
+    # f(lam * y) = f(y): a float seed is scaled by 2^-e (e the exponent of
+    # max|y|) before B @ y, exactly, so a huge seed neither overflows nor
+    # warns and spawns the formula of its ray
+    rng = np.random.default_rng(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, s in [(2, 2), (3, 3), (4, 4), (6, 8)]:
+            d = Dimensions(k, s)
+            y = rng.standard_normal(s)
+            f = seed_to_formula(d, y)
+            for e in (-1000, -3, 1, 1000):
+                assert seed_to_formula(d, np.ldexp(y, e)) == f
+            y = np.ldexp(y, -math.frexp(np.abs(y).max())[1])
+            assert seed_to_formula(d, np.ldexp(y, 1024)) == f  # max|y| 2^1023
+        one = seed_to_formula(Dimensions(2, 2), [1.0, -1.0])
+        huge = seed_to_formula(Dimensions(2, 2), [1e308, -1e308])
+        assert huge.p == pytest.approx(one.p, rel=1e-14) and huge.c == pytest.approx(one.c)
 
 
 def test_nullvector_annihilates_matrix_exactly():

@@ -294,12 +294,12 @@ def run_bits(run):
 @pytest.mark.parametrize("label", "ABCDEF")
 def test_simulate_bit_identical_to_reference_loop(label):
     f = {kf.label: kf for kf in catalog()}[label].to_formula()
-    for x in (SIN, EXP, monomial(3)):
+    for name, x in (("sin", SIN), ("exp", EXP), ("t^3", monomial(3))):
         for tau, steps in ((0.01, 1000), (0.005, 2000), (0.1, 50)):
             for t0 in (0.0, 1.0):
                 new = simulate(f, x, tau, steps, t0=t0)
                 ref = simulate_reference(f, x, tau, steps, t0=t0)
-                assert run_bits(new) == run_bits(ref), (x.name, tau, steps, t0)
+                assert run_bits(new) == run_bits(ref), (name, tau, steps, t0)
 
 
 def test_simulate_bit_identical_on_divergent_and_empty_runs():
