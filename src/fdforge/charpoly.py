@@ -12,23 +12,20 @@ Roots are the eigenvalues of the companion matrix, computed by one private
 kernel that calls NumPy's own LAPACK ``dgeev`` gufunc (no eigenvectors), the
 routine behind ``numpy.linalg.eigvals`` and ``numpy.roots``, without their
 Python wrapper: the roots are bit-identical to ``numpy.roots`` by
-construction, and nothing beyond NumPy is needed at run time.  A seed has
-one float path to its roots (``taylor_system.seed_to_formula``, then this
-kernel), which scores and judges the search's start points alike, so a
-seed gets one verdict and the same magnitudes to the bit.  Companion
+construction, and nothing beyond NumPy is needed at run time.  Companion
 eigenvalues are backward stable (Edelman & Murakami, Math. Comp. 1995):
 each computed root is an exact root of a polynomial whose coefficients are
 a tiny relative perturbation of the input.  The residual contract checked
 in the test suite is |p(z)| <= 1e-8 * ||p||_1 * max(1,|z|)^n for every
 reported root z.
 
-The search classifies every start point with ``analyze_formula`` on its
-float formula, and polishes one that is not convergent with
-:func:`deflated_radius`: a value, the largest root magnitude of p / (z - 1)
-at a point of the seed plane, from one root solve per trial point, and a
-gradient from the same roots, computed only where the line search's
-curvature test reads it.  It absorbs every degenerate outcome into a large
-penalty (or no gradient) so the optimizer sees a total function.
+One root condition serves both paths to a verdict.  :func:`analyze` applies
+it to the roots of a given p.  The search decides on r = p / (z - 1)
+instead: at a point of the seed plane, :func:`deflated_radius` solves for
+r's roots once, and gives from them the value h (their largest magnitude),
+its gradient, and the verdict on r's roots with p's exact root 1.  It
+absorbs every degenerate outcome into a large penalty (no gradient, not
+convergent) so the optimizer sees a total function.
 """
 
 from __future__ import annotations
@@ -158,6 +155,15 @@ def find_roots(p) -> np.ndarray:
     return r[order]
 
 
+def _root_condition(roots: np.ndarray, mags: np.ndarray) -> tuple:
+    """(on_circle, convergent) of a polynomial's roots and their magnitudes,
+    as :func:`analyze` states them."""
+    on_circle = np.flatnonzero(np.abs(mags - 1.0) <= CIRCLE_TOL)
+    return on_circle, bool(mags.max() <= 1.0 + ACCEPT_TOL) and not any(
+        abs(a - b) <= CLUSTER_TOL for a, b in itertools.combinations(roots[on_circle], 2)
+    )
+
+
 def analyze(p) -> RootReport:
     """Classify the root condition of the polynomial ``p``.
 
@@ -173,18 +179,14 @@ def analyze(p) -> RootReport:
     mags = np.abs(roots)
     max_mag = float(mags[0])
     second = float(mags[1]) if roots.size > 1 else 0.0
-    on_circle = tuple(int(i) for i in np.flatnonzero(np.abs(mags - 1.0) <= CIRCLE_TOL))
-    convergent = max_mag <= 1.0 + ACCEPT_TOL and not any(
-        abs(a - b) <= CLUSTER_TOL
-        for a, b in itertools.combinations(roots[list(on_circle)], 2)
-    )
+    on_circle, convergent = _root_condition(roots, mags)
 
     return RootReport(
         roots=tuple(roots),
         max_magnitude=max_mag,
         max_deviation=max_mag - 1.0,
         second_magnitude=second,
-        on_circle=on_circle,
+        on_circle=tuple(int(i) for i in on_circle),
         convergent=convergent,
     )
 
@@ -214,8 +216,9 @@ def objective_function(dims: Dimensions) -> Callable[[np.ndarray], float]:
 
 
 def deflated_radius(dims: Dimensions) -> tuple:
-    """(value, gradient) of h, the largest root magnitude of r = p / (z - 1)
-    at the point z of the seed plane (``EchelonBlock.seed_plane``).
+    """(value, gradient, convergent) of h, the largest root magnitude of
+    r = p / (z - 1) at the point z of the seed plane
+    (``EchelonBlock.seed_plane``).
 
     p's largest root magnitude is max(1, h), but h can fall below 1, so a
     minimizer sees how far inside the disk the other roots are.  ``value(z)``
@@ -223,14 +226,16 @@ def deflated_radius(dims: Dimensions) -> tuple:
     not finite or the root solve fails; it keeps the roots, so that
     ``gradient()`` returns grad h at the last valued point without a second
     solve, or None where that point scored the penalty or the gradient is not
-    finite.  A line search reads the gradient only at the trials that pass
+    finite, and ``convergent()`` returns the root condition of p there,
+    judged as ``analyze`` judges it on r's roots and p's root 1 (False at a
+    penalty).  A line search reads the gradient only at the trials that pass
     sufficient decrease.
     The tail of r is r_p + R @ z (``EchelonBlock.deflated_plane``), so for a
     root l of r with |l| = h, dl/dz = -(sum_j R[j] l^(m-1-j)) / r'(l), where
     r'(l) = prod(l - other roots).  Where several roots share the largest
     magnitude this is the gradient of one of them, as BFGS on nonsmooth
-    functions expects.  Both run silently in a private floating-point
-    context, and each pair carries private scratch buffers: give each
+    functions expects.  All three run silently in a private floating-point
+    context, and each triple carries private scratch buffers: give each
     thread its own.
     """
     r_p, r_z = echelon_block(dims).deflated_plane
@@ -269,6 +274,10 @@ def deflated_radius(dims: Dimensions) -> tuple:
         grad = (root.conjugate() * droot).real / float(mags[top])
         return grad if _all_finite(grad) else None
 
+    def convergent() -> bool:
+        # p = (z - 1) r: p's roots are r's and the exact root 1
+        return top is not None and _root_condition(np.append(roots, 1.0), np.append(mags, 1.0))[1]
+
     with np.errstate(all="ignore"):  # powers of l may overflow, r'(l) vanish
         quiet = contextvars.copy_context()
-    return functools.partial(quiet.run, value), functools.partial(quiet.run, gradient)
+    return tuple(functools.partial(quiet.run, fn) for fn in (value, gradient, convergent))

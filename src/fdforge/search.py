@@ -1,24 +1,25 @@
 """Randomized BFGS discovery of convergent look-ahead formulas.
 
-For fixed dimensions (k, s) the map seed -> max root magnitude is piecewise
-smooth with a hard floor at 1 (the characteristic polynomial p always has
-the root 1).  Convergent formulas live exactly on that floor, so discovery
-is global minimization: throw random Gaussian seeds at the landscape,
-polish each with a local minimizer, and keep the minima that reach the
-floor and pass the root condition.
+For fixed dimensions (k, s) a seed spawns a characteristic polynomial p
+with the root 1, so p's largest root magnitude has a hard floor at 1, and
+the convergent formulas live on that floor.  Discovery is global
+minimization: throw random Gaussian seeds at the landscape, polish each
+with a local minimizer, and keep the points that pass the root condition.
 
-The paper polishes with Nelder-Mead; only that local minimizer differs
-here.  It is BFGS with a weak Wolfe line search, which works on nonsmooth
-functions such as a root radius (Lewis & Overton, Math. Program. 141,
-2013), on h = max|roots of r| for r = p / (z - 1).  Unlike p's, r's largest
-root magnitude falls below 1 inside the convergent set, so a polish can
-stop once every root is strictly inside the disk.  Each trial point of the
-line search costs one root solve for its value; its gradient reuses those
-roots and is computed only at the trials that pass sufficient decrease,
-the only ones whose curvature the line search tests
-(``charpoly.deflated_radius``).  The verdict stays the classifier on p,
-whose roots ``analyze`` prints; it classifies every start point, with one
-root solve, and scores it by p's largest root magnitude.
+One float path from seed to verdict: ``charpoly.deflated_radius`` solves
+for the roots of r = p / (z - 1) at a point of the seed plane, and those
+roots give the polish its value h (their largest magnitude) and gradient,
+and the attempt its verdict (the root condition on r's roots and p's root
+1, as ``analyze`` states it for p).  An attempt scores max(1, h), p's
+largest root magnitude; ``seed_to_formula`` builds the formula of a
+candidate only.  Unlike p's, r's largest root magnitude falls below 1
+inside the convergent set, so a polish can stop once every root is
+strictly inside the disk.  The paper polishes with Nelder-Mead; here it is
+BFGS with a weak Wolfe line search, which works on nonsmooth functions
+such as a root radius (Lewis & Overton, Math. Program. 141, 2013).  Each
+trial point costs one root solve; its gradient reuses those roots and is
+computed only at the trials that pass sufficient decrease, the only ones
+whose curvature the line search tests.
 
 The landscape is flat along every ray: the null vector is normalized by its
 leading entry q[0] = b·y (b = -B[0]), so f(lam * y) = f(y) for lam != 0.
@@ -28,8 +29,7 @@ perturbed in seed space, and each start point y0 enters the plane as
 y0 / (b·y0), which spawns the same formula; one with b·y0 zero or not finite
 has no such multiple and enters as its orthogonal projection (which for a
 non-finite y0 scores the penalty everywhere).  At s = 1 the plane is a
-single point, every nonzero seed gives the same formula, and no polish
-runs.
+single point, and the polish takes no step.
 
 The search is a double loop.  Each outer run draws a fresh standard-normal
 seed and minimizes it; on immediate success the run is complete, otherwise
@@ -46,11 +46,9 @@ Reproducibility: every outer run owns a child of one ``SeedSequence``, so
 results are a pure function of the rng seed, and an outer run's outcome
 depends on its own child only: the first R runs of a longer session find
 exactly what a session of R runs finds.  The outer runs run one after
-another in the calling process: a discover-44 search takes about 0.1 s,
-and on two CPUs a pool of worker processes doubled its CPU time, through
-the pool's fixed cost and two busy runs slowing each other, without
-shortening it; a thread pool is held back by the GIL.  Candidate lists are
-deduplicated by polynomial coefficients.
+another in the calling process (a pool of workers doubled a search's CPU
+time without shortening it).  Candidate lists are deduplicated by
+polynomial coefficients.
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .charpoly import PENALTY, analyze_formula, deflated_radius
+from .charpoly import PENALTY, deflated_radius
 from .taylor_system import DifferenceFormula, Dimensions, _check_int, echelon_block, seed_to_formula
 
 __all__ = [
@@ -142,8 +140,9 @@ class Candidate:
 
     seed_final is the seed whose float formula is ``formula``: the
     attempt's start point itself when it satisfied the root condition
-    already (``iterations == 0``), else the polished point on the seed
-    hyperplane b·y = 1 (b = -B[0]).  Any nonzero multiple of seed_final
+    already (``iterations == 0``; its projection onto the plane if b·y0 is
+    zero), else the polished point on the seed hyperplane b·y = 1
+    (b = -B[0]).  Any nonzero multiple of seed_final
     spawns the same formula.  iterations counts the polish's BFGS steps.
     A search may hold thousands of candidates, so each keeps only what
     cannot be recomputed: ``analyze_formula(formula)`` gives the root
@@ -261,66 +260,49 @@ def _run_outer(
 ):
     """One outer run: fresh seed, BFGS polish, perturbation restarts.
 
-    Returns (candidates, attempts, plateau) where plateau is the best
-    largest root magnitude of p (max(1, h) after a polish) when the run
-    found nothing (None otherwise).
+    Returns (candidates, attempts, plateau) where plateau is the run's best
+    max(1, h), p's largest root magnitude, when it found nothing (None
+    otherwise).
     """
     rng = np.random.default_rng(ss)
-    fg = deflated_radius(cfg.dims)
+    value, gradient, convergent = deflated_radius(cfg.dims)
     # The polish runs in the coordinates z of the seed hyperplane b·y = 1,
     # where y = y_p + plane @ z (see the module docstring).
     block = echelon_block(cfg.dims)
     b = -block.b_float[0]
     y_p, plane = block.seed_plane
 
-    def onto_plane(y0: np.ndarray) -> np.ndarray:
-        """z of the start point y0 / (b·y0), which spawns the formula of y0;
-        of the orthogonal projection of y0 when b·y0 is zero or not finite.
-        y0 is first scaled exactly by a power of two, as in seed_to_formula,
-        so that b·y0 cannot overflow."""
+    def onto_plane(y0: np.ndarray):
+        """(z, x): z of the start point y0 / (b·y0), which spawns the formula
+        of x = y0; or, when b·y0 is zero or not finite, z of the orthogonal
+        projection of y0, whose seed is x = y_p + plane @ z.  y0 is first
+        scaled exactly by a power of two, as in seed_to_formula, so that
+        b·y0 cannot overflow."""
         y = np.ldexp(y0, -math.frexp(np.abs(y0).max())[1])
         t = b @ y
-        return plane.T @ (y / t if t != 0.0 and np.isfinite(t) else y0)
-
-    found: list[Candidate] = []
-    attempts = 0
-
-    def classify(y: np.ndarray, nit: int, inner_index: int):
-        """(value, candidate) of seed ``y``: p's largest root magnitude, or
-        PENALTY where the float path raises or that is not finite, and the
-        Candidate if ``y`` is convergent, else None."""
-        try:
-            formula = seed_to_formula(cfg.dims, y)
-            report = analyze_formula(formula)
-        except ValueError:
-            return PENALTY, None
-        value = report.max_magnitude if math.isfinite(report.max_magnitude) else PENALTY
-        if not report.convergent:
-            return value, None
-        return value, Candidate(
-            seed_final=tuple(float(v) for v in y),
-            formula=formula,
-            outer_index=outer_index,
-            inner_index=inner_index,
-            iterations=nit,
-        )
+        if t != 0.0 and np.isfinite(t):
+            return plane.T @ (y / t), y0
+        z = plane.T @ y0
+        return z, y_p + plane @ z
 
     def attempt(y0: np.ndarray, inner_index: int):
         """Polish one start point; returns (value, seed, candidate|None), the
-        value being p's largest root magnitude, max(1, h) after a polish."""
-        nonlocal attempts
-        attempts += 1
+        value being max(1, h) where it ends."""
         # A start point that already satisfies the root condition is a
         # finished formula: record it verbatim (zero iterations) instead of
-        # letting the minimizer move it off its exact coefficients.
-        x = y0
-        fx, cand = classify(x, 0, inner_index)
-        # At s = 1 the plane is one point: every nonzero seed is one formula.
-        if cand is None and plane.shape[1]:
-            z, h, nit = bfgs(fg, onto_plane(y0))
-            x, fx = y_p + plane @ z, max(1.0, h)
-            cand = classify(x, nit, inner_index)[1]
-        return fx, x, cand
+        # letting the minimizer move it off its exact coefficients.  At s = 1
+        # the plane is one point, and bfgs takes no step.
+        z, x = onto_plane(y0)
+        h, nit = value(z), 0
+        if not convergent():
+            z, h, nit = bfgs((value, gradient), z)
+            value(z)  # bfgs may have valued a rejected trial last
+            x = y_p + plane @ z
+        if not convergent():
+            return max(1.0, h), x, None
+        return max(1.0, h), x, Candidate(
+            seed_final=tuple(float(v) for v in x), formula=seed_to_formula(cfg.dims, x),
+            outer_index=outer_index, inner_index=inner_index, iterations=nit)
 
     y0 = random_seed(cfg.dims.s, rng) if initial_seed is None else np.asarray(
         initial_seed, dtype=float
@@ -328,7 +310,7 @@ def _run_outer(
     best_f, best_y, cand = attempt(y0, 0)
     if cand is not None:
         # The opening seed already led to a formula: the run is complete.
-        return [cand], attempts, None
+        return [cand], 1, None
 
     # Hard ceiling on inner attempts: budget resets on success may not push
     # a single outer run past twice its nominal restart count.  Without the
@@ -337,6 +319,7 @@ def _run_outer(
     inner_cap = 2 * cfg.restarts
     budget = cfg.restarts
     inner = 0
+    found: list[Candidate] = []
     while budget > 0 and inner < inner_cap:
         inner += 1
         budget -= 1
@@ -352,8 +335,7 @@ def _run_outer(
             # budget (bounded by the ceiling above).
             budget = cfg.restarts
 
-    plateau = None if found else best_f
-    return found, attempts, plateau
+    return found, 1 + inner, None if found else best_f
 
 
 def discover(
@@ -369,10 +351,6 @@ def discover(
     for a fixed config, and outer run i finds the same formulas whatever
     ``runs`` is, as long as it is > i.  A start point that is not s finite
     numbers raises ValueError.
-
-    The outer runs run one after another in this process, which starts no
-    thread or process of its own (README gives the trade against a pool of
-    worker processes).
     """
     init = None if initial_seed is None else np.asarray(initial_seed, dtype=float)
     if init is not None and init.shape != (config.dims.s,):

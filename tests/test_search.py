@@ -50,7 +50,7 @@ def plane_points(dims, count, rng):
     finite, drawn at the scale of the search's start points."""
     block = echelon_block(dims)
     b, (_, plane) = -block.b_float[0], block.seed_plane
-    fg = value, gradient = deflated_radius(dims)
+    fg = value, gradient = deflated_radius(dims)[:2]
     out = []
     while len(out) < count:
         y = rng.standard_normal(dims.s)
@@ -120,7 +120,7 @@ PENALTY_STARTS = [[np.inf, 0.5, 1.0], [np.nan, 0.0, 0.0], [1e300, -1e300, 1e300]
 
 @pytest.mark.parametrize("z0", PENALTY_STARTS, ids=["inf", "nan", "overflow"])
 def test_polish_from_a_penalty_start_returns_the_penalty_silently(z0):
-    fg = value, gradient = deflated_radius(Dimensions(4, 4))
+    fg = value, gradient = deflated_radius(Dimensions(4, 4))[:2]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         h0, g0 = value(np.array(z0)), gradient()
@@ -159,7 +159,7 @@ def test_value_then_gradient_match_the_frozen_kernel_bit_for_bit():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for dims, z in cases:
-            value, gradient = deflated_radius(dims)
+            value, gradient, _ = deflated_radius(dims)
             h, grad = value(z), gradient()
             ref_h, ref_grad = frozen_deflated_radius(dims)(z)
             if ref_grad is None:
@@ -167,7 +167,7 @@ def test_value_then_gradient_match_the_frozen_kernel_bit_for_bit():
             else:
                 assert same_bits(h, ref_h) and same_bits(grad, ref_grad), z
         # no gradient at the huge root, but a finite value
-        fg = value, gradient = deflated_radius(Dimensions(4, 4))
+        fg = value, gradient = deflated_radius(Dimensions(4, 4))[:2]
         z = huge_root_point()
         assert 1e59 < value(z) < math.inf and gradient() is None
         z_end, h, nit = bfgs(fg, z)
@@ -359,7 +359,7 @@ def test_nm_known_good_seed_sits_on_the_floor():
     dims = Dimensions(2, 2)
     obj = objective_function(dims)
     y0 = np.array([-5.0, 2.0])
-    z, h, nit = bfgs(deflated_radius(dims), on_plane(dims, y0))
+    z, h, nit = bfgs(deflated_radius(dims)[:2], on_plane(dims, y0))
     y_p, plane = echelon_block(dims).seed_plane
     f = obj(y_p + plane @ z)
     assert nit == 0 and h == pytest.approx(0.9025, abs=5e-4)
@@ -376,14 +376,14 @@ def test_nm_never_worse_than_start():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for dims, z0 in starts:
-            fg = value, _ = deflated_radius(dims)
+            fg = value, _ = deflated_radius(dims)[:2]
             z, h, nit = bfgs(fg, z0)
             assert h <= value(z0) and value(z) == h
             assert nit <= MAX_ITER
 
 
 def test_nm_respects_iteration_cap(monkeypatch):
-    fg = deflated_radius(Dimensions(4, 4))
+    fg = deflated_radius(Dimensions(4, 4))[:2]
     z0 = on_plane(Dimensions(4, 4), np.array([1.0, 2.0, 3.0, 4.0]))
     monkeypatch.setattr(search, "MAX_ITER", 50)
     assert bfgs(fg, z0)[2] <= 50
@@ -399,7 +399,7 @@ def test_nm_matches_the_numpy_loop_from_a_non_finite_start():
     block = echelon_block(dims)
     z0 = block.seed_plane[1].T @ np.array([np.inf, 0.5])
     with np.errstate(invalid="ignore"):
-        (z, h, nit), _ = assert_same_polish(deflated_radius(dims), z0)
+        (z, h, nit), _ = assert_same_polish(deflated_radius(dims)[:2], z0)
     assert h == PENALTY and nit == 0
 
 
@@ -429,7 +429,7 @@ def test_nm_matches_the_numpy_loop_on_ties_and_nan(n):
     # a tied trial value is no decrease and a NaN one counts as too long:
     # both bisect the step, and neither moves the polish uphill
     rng = np.random.default_rng(n)
-    fg = deflated_radius(Dimensions(n, n))
+    fg = deflated_radius(Dimensions(n, n))[:2]
     for i in range(12):
         y0 = rng.standard_normal(n)
         for f in (terraces, nan_stripes):
@@ -608,10 +608,10 @@ def test_discover_rational_session_seed():
 
 
 def test_a_convergent_start_is_solved_once(monkeypatch):
-    # Every start point is classified once, and its report gives the value
-    # too: a convergent start costs one root solve, and no solve is added
-    # anywhere else (the discover-44 search: 44 polishes, none from a
-    # convergent start).
+    # Every start point is valued once on the seed plane, and its roots give
+    # the verdict too: a convergent start costs one root solve, and no solve
+    # is added anywhere else (the discover-44 search: 44 polishes, none from
+    # a convergent start).
     solves = []
     eigvals = charpoly._eigvals
 
@@ -627,6 +627,44 @@ def test_a_convergent_start_is_solved_once(monkeypatch):
     res = discover(SearchConfig(Dimensions(4, 4), runs=4, restarts=10, rng_seed=0))
     assert (res.attempts, len(res.candidates)) == (44, 16)
     assert len(solves) == 4278
+
+
+def test_the_search_never_classifies_p(monkeypatch):
+    # The search decides every attempt on the roots of r that its polish
+    # values already; the classifier on p is left to the printed reports.
+    calls = []
+    analyze = charpoly.analyze
+
+    def spy(p):
+        calls.append(1)
+        return analyze(p)
+
+    monkeypatch.setattr(charpoly, "analyze", spy)
+    res = discover(SearchConfig(Dimensions(4, 4), runs=4, restarts=10, rng_seed=0))
+    assert (res.attempts, len(res.candidates)) == (44, 16)
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("k, s", [(2, 2), (3, 3), (4, 4), (5, 5), (6, 7)])
+def test_the_kernels_verdict_is_the_classifiers(k, s):
+    # At start points and polished points, r's roots with p's exact root 1
+    # meet the root condition exactly where analyze finds that p's do.
+    dims = Dimensions(k, s)
+    y_p, plane = echelon_block(dims).seed_plane
+    value, gradient, convergent = deflated_radius(dims)
+    rng = np.random.default_rng(k * 10 + s)
+    verdicts = []
+    for _ in range(40):
+        y0 = rng.standard_normal(s)
+        z = on_plane(dims, y0)
+        value(z)
+        verdicts.append((y0, convergent()))
+        z = bfgs((value, gradient), z)[0]
+        value(z)
+        verdicts.append((y_p + plane @ z, convergent()))
+    for y, verdict in verdicts:
+        assert verdict == analyze_formula(seed_to_formula(dims, y)).convergent, y
+    assert {verdict for _, verdict in verdicts} == {False, True}
 
 
 def test_discover_polishes_on_the_seed_hyperplane():
@@ -645,7 +683,8 @@ def test_discover_polishes_on_the_seed_hyperplane():
 @pytest.mark.parametrize("k, plateau", [(2, 2.686140661634509), (3, 4.702803653428851)])
 def test_discover_single_entry_seed_runs_no_simplex(k, plateau):
     # At s = 1 the hyperplane is one point and every nonzero seed gives one
-    # formula, so an attempt scores its start point and no polish runs.  The plateaus are those of the search over all of seed space to
+    # formula, so an attempt scores that point and the polish takes no step.
+    # The plateaus are those of the search over all of seed space to
     # rounding, as f(lam * y) = f(y) holds to 1e-12 relative.
     with pytest.warns(UserWarning, match="s >= k"):
         cfg = SearchConfig(dims=Dimensions(k, 1), runs=2, restarts=2, rng_seed=0)
@@ -653,6 +692,18 @@ def test_discover_single_entry_seed_runs_no_simplex(k, plateau):
     assert res.attempts == 6
     assert res.candidates == ()
     assert res.failure_plateaus == pytest.approx((plateau, plateau), rel=1e-12, abs=0)
+
+
+def test_a_huge_single_entry_seed_is_searched_silently():
+    # At s = 1 an attempt ends on the plane's one point, which becomes the
+    # run's best seed: a restart kicks it, not the huge start point.
+    with pytest.warns(UserWarning, match="s >= k"):
+        cfg = SearchConfig(dims=Dimensions(2, 1), runs=1, restarts=2, rng_seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = discover(cfg, initial_seed=[1.7e308])
+    assert res.attempts == 3 and res.candidates == ()
+    assert res.failure_plateaus == pytest.approx((2.686140661634509,), rel=1e-12, abs=0)
 
 
 def degenerate_starts():
@@ -837,15 +888,18 @@ def result_digest(res) -> str:
     return h.hexdigest()[:16]
 
 
-@pytest.mark.parametrize("dims, runs, init, digest", [
-    (Dimensions(4, 4), 4, None, "c4d583940ee71c90"),  # discover-44: 16 formulas
-    (Dimensions(3, 3), 6, None, "f5b09ca1edf9ffa1"),
-    (Dimensions(2, 1), 3, None, "4b2d242df98dbf51"),  # s = 1: no polish runs
-    (Dimensions(2, 2), 3, [-5.0, 2.0], "c2b27e8365449275"),
-], ids=["4-4", "3-3", "2-1", "initial-seed"])
-def test_discover_result_bits_are_pinned(dims, runs, init, digest):
+@pytest.mark.parametrize("dims, runs, rng, init, digest", [
+    (Dimensions(4, 4), 4, 0, None, "c4d583940ee71c90"),  # discover-44: 16 formulas
+    (Dimensions(3, 3), 6, 0, None, "f5b09ca1edf9ffa1"),
+    (Dimensions(2, 1), 3, 0, None, "c006cff8488e7cca"),  # s = 1: bfgs takes no step
+    (Dimensions(2, 2), 3, 0, [-5.0, 2.0], "c2b27e8365449275"),
+    (Dimensions(3, 3), 20, 0, None, "cd3533e1a5b37abf"),  # 59 formulas
+    # catalog A, whose r = z + 1 has a simple root on the circle
+    (Dimensions(1, 1), 5, 11, None, "cdeecc335ee63131"),
+], ids=["4-4", "3-3", "2-1", "initial-seed", "3-3-runs-20", "1-1"])
+def test_discover_result_bits_are_pinned(dims, runs, rng, init, digest):
     with pytest.warns(UserWarning) if dims.s < dims.k else contextlib.nullcontext():
-        cfg = SearchConfig(dims=dims, runs=runs, restarts=10, rng_seed=0)
+        cfg = SearchConfig(dims=dims, runs=runs, restarts=10, rng_seed=rng)
     assert result_digest(discover(cfg, initial_seed=init)) == digest
 
 
